@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ def _default_tol() -> float:
         return 1e-9
     try:
         value = float(raw)
-        if value <= 0:
+        if not _valid_tol(value):
             raise ValueError
         return value
     except ValueError:
@@ -63,6 +64,10 @@ def _default_tol() -> float:
             f"warning: ignoring invalid LOGINT_TOL={raw!r}", file=sys.stderr
         )
         return 1e-9
+
+
+def _valid_tol(tol: float) -> bool:
+    return 0 < tol < math.inf  # False for NaN too
 
 
 def _fmt(x: float) -> str:
@@ -157,11 +162,13 @@ def _print_outcome(outcome: _IntegrateOutcome, as_json: bool, out: TextIO) -> No
 
 
 def _parse_bound_loose(text: str) -> float:
-    """Bounds on the numeric-only path may be decimals like 1.4142."""
+    """Bounds on the numeric-only path may be decimals like 1.4142, or inf."""
     try:
         return float(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError):
         pass
+    except OverflowError:
+        raise ParseError(text, 0, "number out of floating-point range")
     try:
         return float(text)
     except ValueError:
@@ -309,7 +316,7 @@ def _cmd_verify_batch(args: argparse.Namespace) -> int:
             if not outcome.verified:
                 record["kind"] = "mismatch"
                 worst = max(worst, EXIT_VERIFY)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, DomainError):
                 record.update(ok=False, kind="domain", error=str(exc))
                 worst = max(worst, EXIT_DOMAIN)
@@ -402,8 +409,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_merge_flag_values(argv))
     if getattr(args, "tol", None) is None and hasattr(args, "tol"):
         args.tol = _default_tol()
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    if getattr(args, "tol", None) is not None and not _valid_tol(args.tol):
+        print("error: tolerance must be positive and finite", file=sys.stderr)
         return EXIT_PARSE
     return args.func(args)
 

@@ -11,9 +11,10 @@ logarithmic integrals of rational functions can produce:
     LogProd(q1,q2)  ln q1 * ln q2, stored with q1 <= q2
     Dilog(q)        Li2(q),  rational q <= 1/2
 
-Construction is permissive (Log(1), Dilog(0) and Dilog(-1) are legal
-atoms); ``canonical`` rewrites every such reducible atom away and merges
-duplicates, after which structural equality of forms is decidable.
+Atoms are permissive (Log(1), Dilog(0) and Dilog(-1) are legal atoms),
+but a ClosedForm is canonical by construction: it rewrites every such
+reducible atom away and merges duplicates when it is built, so two forms
+are equal exactly when their term dicts are.
 Numeric evaluation goes through ``evalf``.  Serialization to/from JSON
 is exact: coefficients and atom arguments travel as fraction strings.
 """
@@ -24,18 +25,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .dilog import dilog
 from .errors import DomainError
-
-Scalar = Union[int, Fraction]
-
-
-def _frac(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be exact (int or Fraction), got float")
-    return Fraction(value)
+from .poly import Scalar, exact
 
 
 class Atom:
@@ -93,7 +87,7 @@ class Log(Atom):
     _rank = 2
 
     def __post_init__(self) -> None:
-        arg = _frac(self.arg, "Log argument")
+        arg = exact(self.arg, "Log argument")
         if arg <= 0:
             raise DomainError(f"Log argument must be positive, got {arg}")
         object.__setattr__(self, "arg", arg)
@@ -118,7 +112,7 @@ class LogPow(Atom):
     _rank = 3
 
     def __post_init__(self) -> None:
-        arg = _frac(self.arg, "LogPow argument")
+        arg = exact(self.arg, "LogPow argument")
         if arg <= 0:
             raise DomainError(f"LogPow argument must be positive, got {arg}")
         if not isinstance(self.power, int) or self.power < 1:
@@ -145,8 +139,8 @@ class LogProd(Atom):
     _rank = 4
 
     def __post_init__(self) -> None:
-        a = _frac(self.first, "LogProd argument")
-        b = _frac(self.second, "LogProd argument")
+        a = exact(self.first, "LogProd argument")
+        b = exact(self.second, "LogProd argument")
         if a <= 0 or b <= 0:
             raise DomainError("LogProd arguments must be positive")
         if b < a:
@@ -173,7 +167,7 @@ class Dilog(Atom):
     _rank = 5
 
     def __post_init__(self) -> None:
-        arg = _frac(self.arg, "Dilog argument")
+        arg = exact(self.arg, "Dilog argument")
         if arg > Fraction(1, 2):
             raise DomainError(f"Dilog argument must be <= 1/2, got {arg}")
         object.__setattr__(self, "arg", arg)
@@ -211,6 +205,46 @@ _KINDS = {
 }
 
 
+def _upright(q: Fraction) -> tuple[Fraction, int]:
+    # ln q = sign * ln(q'), with q' >= 1
+    return (1 / q, -1) if q < 1 else (q, 1)
+
+
+def _reduce(atom: Atom, c: Fraction) -> Optional[tuple[Atom, Fraction]]:
+    """The canonical term equal to c * atom, or None if it vanishes.
+
+    Rules: drop ln(1) in any position, pull log arguments above 1 via
+    ln q = -ln(1/q), LogPow(q,1) -> Log(q), LogProd(q,q) -> LogPow(q,2),
+    Dilog(0) -> 0, and Dilog(-1) -> -pi^2/12.  An atom that is already
+    canonical comes back as it is.
+    """
+    if isinstance(atom, Log):
+        if atom.arg > 1:
+            return atom, c
+        return None if atom.arg == 1 else (Log(1 / atom.arg), -c)
+    if isinstance(atom, LogPow):
+        if atom.arg == 1:
+            return None
+        q, s = _upright(atom.arg)
+        if atom.power == 1:
+            return Log(q), s * c
+        return (atom if s == 1 else LogPow(q, atom.power)), s**atom.power * c
+    if isinstance(atom, LogProd):
+        if atom.first == 1 or atom.second == 1:
+            return None
+        q1, s1 = _upright(atom.first)
+        q2, s2 = _upright(atom.second)
+        if q1 == q2:
+            return LogPow(q1, 2), s1 * s2 * c
+        return (atom if s1 == s2 == 1 else LogProd(q1, q2)), s1 * s2 * c
+    if isinstance(atom, Dilog):
+        if atom.arg == 0:
+            return None
+        if atom.arg == -1:
+            return PI_SQUARED_ATOM, -c / 12
+    return atom, c
+
+
 def atom_from_json_dict(d: Mapping) -> Atom:
     try:
         builder = _KINDS[d["kind"]]
@@ -220,7 +254,7 @@ def atom_from_json_dict(d: Mapping) -> Atom:
 
 
 class ClosedForm:
-    """Finite rational combination of atoms."""
+    """Finite rational combination of atoms, canonical by construction."""
 
     __slots__ = ("_terms",)
 
@@ -233,10 +267,19 @@ class ClosedForm:
         for atom, coeff in items:
             if not isinstance(atom, Atom):
                 raise TypeError(f"expected an Atom, got {type(atom).__name__}")
-            c = _frac(coeff, "coefficient")
-            if c:
-                acc[atom] = acc.get(atom, Fraction(0)) + c
+            c = exact(coeff, "coefficient")
+            if c and (term := _reduce(atom, c)):
+                atom, c = term
+                acc[atom] = acc.get(atom, 0) + c
         self._terms: dict[Atom, Fraction] = {a: c for a, c in acc.items() if c}
+
+    @classmethod
+    def _of_canonical(cls, terms: dict[Atom, Fraction]) -> "ClosedForm":
+        # Every atom in ``terms`` is already reduced, so only zero
+        # coefficients have to go; the reduction is not run again.
+        form = object.__new__(cls)
+        form._terms = {a: c for a, c in terms.items() if c}
+        return form
 
     # -- constructors ---------------------------------------------------
 
@@ -251,6 +294,15 @@ class ClosedForm:
     @classmethod
     def constant(cls, c: Scalar) -> "ClosedForm":
         return cls(((UNIT, c),))
+
+    @classmethod
+    def combine(cls, parts: Iterable[tuple[Scalar, "ClosedForm"]]) -> "ClosedForm":
+        """sum_i c_i * form_i, accumulated in one dict and built once."""
+        acc: dict[Atom, Fraction] = {}
+        for scalar, form in parts:
+            for atom, c in form._terms.items():
+                acc[atom] = acc.get(atom, 0) + scalar * c
+        return cls._of_canonical(acc)
 
     # -- inspection -----------------------------------------------------
 
@@ -280,8 +332,8 @@ class ClosedForm:
             return NotImplemented
         acc = dict(self._terms)
         for atom, c in other._terms.items():
-            acc[atom] = acc.get(atom, Fraction(0)) + c
-        return ClosedForm(acc)
+            acc[atom] = acc.get(atom, 0) + c
+        return ClosedForm._of_canonical(acc)
 
     def __sub__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
@@ -289,12 +341,14 @@ class ClosedForm:
         return self + (-other)
 
     def __neg__(self) -> "ClosedForm":
-        return ClosedForm({a: -c for a, c in self._terms.items()})
+        return ClosedForm._of_canonical({a: -c for a, c in self._terms.items()})
 
     def __mul__(self, scalar: Scalar) -> "ClosedForm":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return ClosedForm({a: c * scalar for a, c in self._terms.items()})
+        return ClosedForm._of_canonical(
+            {a: c * scalar for a, c in self._terms.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -306,65 +360,18 @@ class ClosedForm:
     # -- canonicalization -------------------------------------------------
 
     def canonical(self) -> "ClosedForm":
-        """Rewrite reducible atoms and merge; idempotent.
-
-        Rules: drop ln(1) in any position, pull log arguments above 1
-        via ln q = -ln(1/q), LogPow(q,1) -> Log(q),
-        LogProd(q,q) -> LogPow(q,2), Dilog(0) -> 0, and
-        Dilog(-1) -> -pi^2/12.
-        """
-        acc: dict[Atom, Fraction] = {}
-
-        def put(atom: Atom, c: Fraction) -> None:
-            acc[atom] = acc.get(atom, Fraction(0)) + c
-
-        def upright(q: Fraction) -> tuple[Fraction, int]:
-            # ln q = sign * ln(q'), with q' >= 1
-            return (1 / q, -1) if q < 1 else (q, 1)
-
-        one = Fraction(1)
-        for atom, c in self._terms.items():
-            if isinstance(atom, Log):
-                if atom.arg != one:
-                    q, s = upright(atom.arg)
-                    put(Log(q), s * c)
-            elif isinstance(atom, LogPow):
-                if atom.arg == one:
-                    continue
-                q, s = upright(atom.arg)
-                if atom.power == 1:
-                    put(Log(q), s * c)
-                else:
-                    put(LogPow(q, atom.power), s**atom.power * c)
-            elif isinstance(atom, LogProd):
-                if atom.first == one or atom.second == one:
-                    continue
-                q1, s1 = upright(atom.first)
-                q2, s2 = upright(atom.second)
-                if q1 == q2:
-                    put(LogPow(q1, 2), s1 * s2 * c)
-                else:
-                    put(LogProd(q1, q2), s1 * s2 * c)
-            elif isinstance(atom, Dilog):
-                if atom.arg == 0:
-                    continue
-                if atom.arg == -1:
-                    put(PI_SQUARED_ATOM, -c / 12)
-                else:
-                    put(atom, c)
-            else:
-                put(atom, c)
-        return ClosedForm(acc)
+        """The canonical form: every ClosedForm already is one."""
+        return self
 
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        return self.canonical()._terms == other.canonical()._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.canonical()._terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     # -- evaluation -----------------------------------------------------------
 

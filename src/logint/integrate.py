@@ -40,25 +40,9 @@ from .errors import (
     PoleInInterval,
     UnsupportedLogPower,
     UnsupportedPole,
-    ZeroDenominator,
 )
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, exact
 from .ratfunc import FactoredDenominator, factor_denominator, partial_fractions
-
-
-def _rational(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be exact (int or Fraction), got float")
-    return Fraction(value)
-
-
-def _log_atom(arg: Fraction, power: int) -> ClosedForm:
-    """(ln arg)^power as a form; power 0 is the unit."""
-    if power == 0:
-        return ClosedForm.of(UNIT)
-    if power == 1:
-        return ClosedForm.of(Log(arg))
-    return ClosedForm.of(LogPow(arg, power))
 
 
 def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
@@ -71,46 +55,39 @@ def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
         raise DomainError("monomial degree must be an integer >= 0")
     if not isinstance(k, int) or k < 0:
         raise DomainError("log power must be an integer >= 0")
-    b = _rational(b, "upper limit")
+    b = exact(b, "upper limit")
     if b <= 0:
         raise DomainError(f"upper limit must be positive, got {b}")
     scale = b ** (j + 1)
-    total = ClosedForm.zero()
+    terms = []
     for i in range(k + 1):
         core = Fraction((-1) ** i * math.factorial(i), (j + 1) ** (i + 1))
-        coeff = scale * math.comb(k, i) * core
-        total = total + coeff * _log_atom(b, k - i)
-    return total.canonical()
+        atom = UNIT if i == k else LogPow(b, k - i)
+        terms.append((atom, scale * math.comb(k, i) * core))
+    return ClosedForm(terms)
 
 
 def integrate_poly_log(p: Polynomial, b: Scalar, m: int) -> ClosedForm:
     """int_0^b P(x) (ln x)^m dx by linearity over the monomials."""
-    b = _rational(b, "upper limit")
+    b = exact(b, "upper limit")
     if b <= 0:
         raise DomainError(f"upper limit must be positive, got {b}")
     if not isinstance(m, int) or m < 0:
         raise DomainError("log power must be an integer >= 0")
-    total = ClosedForm.zero()
-    for j, a in enumerate(p.coeffs):
-        if a:
-            total = total + a * integrate_monomial_log(j, m, b)
-    return total.canonical()
+    return ClosedForm.combine(
+        (a, integrate_monomial_log(j, m, b)) for j, a in enumerate(p.coeffs) if a
+    )
 
 
 def integrate_simple_pole(b: Scalar, r: Scalar) -> ClosedForm:
     """int_0^b ln x / (x + r) dx  =  ln b ln((b+r)/r) + Li2(-b/r)."""
-    b = _rational(b, "upper limit")
-    r = _rational(r, "pole parameter")
+    b = exact(b, "upper limit")
+    r = exact(r, "pole parameter")
     if b <= 0:
         raise DomainError(f"upper limit must be positive, got {b}")
     if r <= 0:
         raise DomainError(f"pole parameter must be positive, got {r}")
-    form = ClosedForm.of(LogProd(b, (b + r) / r)) + ClosedForm.of(Dilog(-b / r))
-    return form.canonical()
-
-
-def _based_simple_pole(t: Fraction, r: Fraction) -> ClosedForm:
-    return ClosedForm.zero() if t == 0 else integrate_simple_pole(t, r)
+    return ClosedForm(((LogProd(b, (b + r) / r), 1), (Dilog(-b / r), 1)))
 
 
 def integrate_two_simple_poles(
@@ -118,31 +95,20 @@ def integrate_two_simple_poles(
 ) -> ClosedForm:
     """int_a^b ln x / ((x + r1)(x + r2)) dx for distinct positive poles.
 
-    Splits 1/((x+r1)(x+r2)) = (1/(r2-r1)) (1/(x+r1) - 1/(x+r2)) and takes
-    the base-point difference, yielding at most four log products and
-    four dilogarithms before canonicalization.
+    The driver splits 1/((x+r1)(x+r2)) into two simple poles and takes
+    the base-point difference: at most four log products and four
+    dilogarithms before they are merged.
     """
-    a = _rational(a, "lower limit")
-    b = _rational(b, "upper limit")
-    r1 = _rational(r1, "pole parameter")
-    r2 = _rational(r2, "pole parameter")
+    a = exact(a, "lower limit")
+    b = exact(b, "upper limit")
+    r1 = exact(r1, "pole parameter")
+    r2 = exact(r2, "pole parameter")
     if r1 <= 0 or r2 <= 0:
         raise DomainError("pole parameters must be positive")
     if r1 == r2:
         raise PoleCollision(f"poles coincide at -{r1}")
-    if a < 0:
-        raise DomainError(f"lower limit must be >= 0, got {a}")
-    if a == b:
-        raise DegenerateInterval(f"empty interval [{a}, {b}]")
-    if b < a:
-        raise DomainError(f"limits out of order: [{a}, {b}]")
-    total = (
-        _based_simple_pole(b, r1)
-        - _based_simple_pole(b, r2)
-        - _based_simple_pole(a, r1)
-        + _based_simple_pole(a, r2)
-    )
-    return (total / (r2 - r1)).canonical()
+    den = FactoredDenominator(1, ((r1, 1), (r2, 1)))
+    return integrate_rational_log(IntegralSpec(Polynomial((1,)), den, a, b))
 
 
 def symmetric_two_pole_elementary(a: Scalar, b: Scalar) -> ClosedForm:
@@ -153,8 +119,8 @@ def symmetric_two_pole_elementary(a: Scalar, b: Scalar) -> ClosedForm:
 
         ln(ab) / (2(b-a)) * ln((a+b)^2 / (4ab)).
     """
-    a = _rational(a, "lower limit")
-    b = _rational(b, "upper limit")
+    a = exact(a, "lower limit")
+    b = exact(b, "upper limit")
     if a <= 0:
         raise DomainError(f"need 0 < a < b, got a = {a}")
     if a == b:
@@ -163,17 +129,17 @@ def symmetric_two_pole_elementary(a: Scalar, b: Scalar) -> ClosedForm:
         raise DomainError(f"limits out of order: [{a}, {b}]")
     prod = a * b
     ratio = (a + b) ** 2 / (4 * prod)
-    form = ClosedForm.of(LogProd(prod, ratio), Fraction(1, 2) / (b - a))
-    return form.canonical()
+    return ClosedForm.of(LogProd(prod, ratio), Fraction(1, 2) / (b - a))
 
 
 def symmetric_two_pole_dilog(a: Scalar, b: Scalar) -> ClosedForm:
     """Same integral as symmetric_two_pole_elementary, but assembled
-    from the generic two-pole route, so dilogarithms appear (and the
-    pair at -1 collapses to a pi^2 term).  Agreement of the two routes
-    is a nontrivial identity between log products and dilogarithms."""
-    a = _rational(a, "lower limit")
-    b = _rational(b, "upper limit")
+    by the generic driver through the two-pole route, so dilogarithms
+    appear (and the pair at -1 collapses to a pi^2 term).  Agreement of
+    the two routes is a nontrivial identity between log products and
+    dilogarithms."""
+    a = exact(a, "lower limit")
+    b = exact(b, "upper limit")
     if a <= 0:
         raise DomainError(f"need 0 < a < b, got a = {a}")
     return integrate_two_simple_poles(a, b, a, b)
@@ -190,7 +156,7 @@ def unit_pole_log_integral(n: int, b: Scalar) -> ClosedForm:
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("pole order must be an integer >= 2")
-    b = _rational(b, "upper limit")
+    b = exact(b, "upper limit")
     if b <= 0:
         raise DomainError(f"upper limit must be positive, got {b}")
     one_plus = 1 + b
@@ -204,12 +170,7 @@ def unit_pole_log_integral(n: int, b: Scalar) -> ClosedForm:
         rest = step * rest - Fraction(
             one_plus ** (k - 2) - 1, (k - 1) * (k - 2) * one_plus ** (k - 2)
         )
-    form = (
-        log_b * _log_atom(b, 1)
-        + log_1p * _log_atom(one_plus, 1)
-        + ClosedForm.of(UNIT, rest)
-    )
-    return form.canonical()
+    return ClosedForm(((Log(b), log_b), (Log(one_plus), log_1p), (UNIT, rest)))
 
 
 def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
@@ -222,17 +183,14 @@ def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("pole order must be an integer >= 2")
-    b = _rational(b, "upper limit")
-    r = _rational(r, "pole parameter")
+    b = exact(b, "upper limit")
+    r = exact(r, "pole parameter")
     if b <= 0 or r <= 0:
         raise DomainError("upper limit and pole parameter must be positive")
     bracket = 1 - Fraction(r, b + r) ** (n - 1)
     scale = Fraction(1, r ** (n - 1))
-    form = (
-        ClosedForm.of(Log(r), scale * bracket / (n - 1))
-        + scale * unit_pole_log_integral(n, Fraction(b, r))
-    )
-    return form.canonical()
+    h = unit_pole_log_integral(n, Fraction(b, r))
+    return ClosedForm.of(Log(r), scale * bracket / (n - 1)) + scale * h
 
 
 @dataclass(frozen=True)
@@ -295,8 +253,8 @@ class IntegralSpec:
     log_power: int = 1
 
     def __post_init__(self) -> None:
-        lower = _rational(self.lower, "lower limit")
-        upper = _rational(self.upper, "upper limit")
+        lower = exact(self.lower, "lower limit")
+        upper = exact(self.upper, "upper limit")
         if lower < 0:
             raise DomainError(f"lower limit must be >= 0, got {lower}")
         if upper == lower:
@@ -341,10 +299,12 @@ def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
 
     decomp = partial_fractions(spec.numerator, den)
 
-    def based(t: Fraction) -> ClosedForm:
+    # F(upper) - F(lower), with F(t) the integral based at 0 (F(0) = 0).
+    parts: list[tuple[Scalar, ClosedForm]] = []
+    for t, sign in ((spec.upper, 1), (spec.lower, -1)):
         if t == 0:
-            return ClosedForm.zero()
-        total = integrate_poly_log(decomp.quotient, t, spec.log_power)
+            continue
+        parts.append((sign, integrate_poly_log(decomp.quotient, t, spec.log_power)))
         for pole in decomp.poles:
             for j, c in enumerate(pole.residues, start=1):
                 if not c:
@@ -353,7 +313,5 @@ def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
                     piece = integrate_simple_pole(t, pole.shift)
                 else:
                     piece = integrate_multiple_pole(j, t, pole.shift)
-                total = total + c * piece
-        return total
-
-    return (based(spec.upper) - based(spec.lower)).canonical()
+                parts.append((sign * c, piece))
+    return ClosedForm.combine(parts)

@@ -16,11 +16,10 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def _coerce(value: Scalar) -> Fraction:
+def exact(value: Scalar, what: str) -> Fraction:
+    """``value`` as a Fraction; a float is refused, since it is not exact."""
     if isinstance(value, float):
-        raise TypeError(
-            "polynomial coefficients must be exact (int or Fraction), got float"
-        )
+        raise TypeError(f"{what} must be exact (int or Fraction), got float")
     return Fraction(value)
 
 
@@ -30,7 +29,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [exact(c, "polynomial coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -186,7 +185,7 @@ class Polynomial:
 
     def shift(self, c: Scalar) -> "Polynomial":
         """Compose with a translation: returns P(x + c), exactly."""
-        xc = Polynomial((_coerce(c), Fraction(1)))
+        xc = Polynomial((exact(c, "shift"), Fraction(1)))
         out = Polynomial()
         for a in reversed(self._coeffs):
             out = out * xc + a

@@ -25,9 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-import numpy as np
-from scipy.integrate import quad
-
 from .errors import DomainError, NoConvergence, SingularInterior, ZeroDenominator
 from .poly import Polynomial
 from .ratfunc import FactoredRationalFunction
@@ -57,6 +54,8 @@ def _as_evaluator(integrand: Integrand) -> tuple[Callable[[float], float], list[
     if den.degree == 0:
         c = float(den.coeff(0))
         return (lambda x: num(float(x)) / c), []
+    import numpy as np  # on first use, as scipy in quad_log
+
     roots = np.roots([float(c) for c in reversed(den.coeffs)])
     poles = [
         float(r.real)
@@ -81,6 +80,11 @@ def quad_log(
     max_evals: int = 1_000_000,
 ) -> QuadResult:
     """Numerically integrate R(x) (ln x)^m over [a, b], 0 <= a < b."""
+    # Imported on first use, not with the module: numpy and scipy make
+    # `import logint` take about five times the memory, and the symbolic
+    # side never needs them.
+    from scipy.integrate import quad
+
     a = float(a)
     b = float(b)
     if not isinstance(m, int) or m < 0:

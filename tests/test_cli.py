@@ -145,6 +145,28 @@ class TestNumericOnly:
         assert code == 2
         assert "pole" in err
 
+    def test_overflowing_bound_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--num", "1", "--den", "x^2+1",
+            "--lower", "1", "--upper", "1e400",
+        )
+        assert code == 1
+        assert out == ""
+        assert "1e400" in err and "Traceback" not in err
+
+    def test_infinite_upper_bound(self, capsys):
+        # int_1^inf ln x / (1 + x^2) dx is Catalan's constant.
+        code, out, _ = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--json", "--num", "1",
+            "--den", "x^2+1", "--lower", "1", "--upper", "inf",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["converged"] is True
+        assert doc["value"] == pytest.approx(0.915965594177219, abs=1e-12)
+
 
 class TestDilog:
     def test_text_output(self, capsys):
@@ -219,6 +241,27 @@ class TestVerifyBatch:
         assert records[2]["ok"] is False and records[2]["kind"] == "domain"
         assert code == 2  # worst failure wins
 
+    def test_malformed_jobs_do_not_abort_the_batch(self, capsys, tmp_path):
+        good = json.dumps({"num": "1", "den": "(x+1)", "lower": "0", "upper": "1"})
+        jobs = tmp_path / "jobs.ndjson"
+        jobs.write_text(
+            "\n".join(
+                [
+                    "[1,2]",
+                    json.dumps({"num": "1", "den": "(x+1)", "power": None}),
+                    good,
+                ]
+            )
+        )
+        code = main(["verify-batch", "--input", str(jobs)])
+        out = capsys.readouterr().out
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["index"] for r in records] == [0, 1, 2]
+        for bad in records[:2]:
+            assert bad["ok"] is False and bad["kind"] == "parse"
+        assert records[2]["ok"] is True
+        assert code == 1
+
     def test_stdin_input(self, capsys, monkeypatch):
         line = json.dumps(
             {"num": "x", "den": "(x+1)(x+2)", "lower": "1/2", "upper": "3"}
@@ -269,6 +312,17 @@ class TestFlagsAndEnvironment:
         assert code == 0
         assert "ignoring invalid LOGINT_TOL" in err
 
+    def test_nan_env_tolerance_warns(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOGINT_TOL", "nan")
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--num", "1", "--den", "(x+1)",
+            "--lower", "0", "--upper", "1", "--verify",
+        )
+        assert code == 0
+        assert "verified: ok" in out
+        assert "ignoring invalid LOGINT_TOL" in err
+
     def test_nonpositive_tolerance_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -277,6 +331,17 @@ class TestFlagsAndEnvironment:
         )
         assert code == 1
         assert "tolerance must be positive" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_1(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--num", "1", "--den", "(x+1)",
+            "--lower", "0", "--upper", "1", "--verify", "--tol", tol,
+        )
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be" in err
 
 
 class TestConsoleScript:

@@ -62,7 +62,29 @@ class TestAtomValidation:
         )
 
 
+def is_reduced(atom) -> bool:
+    """True when no canonicalization rule applies to ``atom``."""
+    if isinstance(atom, Log):
+        return atom.arg > 1
+    if isinstance(atom, LogPow):
+        return atom.arg > 1 and atom.power >= 2
+    if isinstance(atom, LogProd):
+        return 1 < atom.first < atom.second
+    if isinstance(atom, Dilog):
+        return atom.arg not in (0, -1)
+    return True
+
+
+def raw_value(terms: dict) -> float:
+    """Value of sum c * atom over terms as given, before any rewrite."""
+    return math.fsum(float(c) * atom.value() for atom, c in terms.items())
+
+
 class TestCanonical:
+    def test_construction_flips_log_argument(self):
+        cf = ClosedForm({Log(Fraction(1, 2)): 1})
+        assert cf.terms() == ((Log(Fraction(2)), Fraction(-1)),)
+
     def test_log_of_one_drops(self):
         cf = ClosedForm({Log(Fraction(1)): Fraction(5)})
         assert cf.canonical() == ClosedForm.zero()
@@ -128,11 +150,11 @@ class TestCanonical:
                 coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 terms[atom] = terms.get(atom, Fraction(0)) + coeff
             cf = ClosedForm(terms)
-            once = cf.canonical()
-            assert once.canonical() == once
-            # canonicalization must preserve the numeric value
+            assert cf.canonical() == cf
+            assert all(is_reduced(atom) for atom in cf.atoms())
+            # canonicalization must preserve the value of the raw terms
             assert math.isclose(
-                cf.evalf(), once.evalf(), rel_tol=1e-12, abs_tol=1e-12
+                cf.evalf(), raw_value(terms), rel_tol=1e-12, abs_tol=1e-12
             )
 
 

@@ -1,8 +1,12 @@
 """Quadrature oracle: endpoint singularity handling, errors, budgets."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +150,21 @@ class TestFailureModes:
             quad_log(f, 0, 1, m=61)
         with pytest.raises(DomainError):
             quad_log(f, 0, 1, tol=0.0)
+
+
+def test_symbolic_side_does_not_load_the_oracle_dependencies():
+    # numpy and scipy are the oracle's alone; importing the package and
+    # integrating symbolically must not load them.
+    code = (
+        "import sys, logint, logint.cli\n"
+        "logint.integrate_simple_pole(1, 1)\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
