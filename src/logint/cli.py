@@ -9,9 +9,11 @@ Subcommands:
     verify-batch  run many integrate+verify jobs from NDJSON lines
 
 Exit codes: 0 success, 1 parse error (with a caret pointing at the
-offending column), 2 domain error (diverging integral, bad argument),
-3 oracle verification failure.  The default verification tolerance is
-1e-9, overridable with --tol or the LOGINT_TOL environment variable.
+offending column), 2 domain error (diverging integral, bad argument, or
+no oracle value under --numeric-only), 3 oracle verification failure
+(mismatch, or no oracle value to compare with).  The default
+verification tolerance is 1e-9, overridable with --tol or the
+LOGINT_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, TextIO
+from typing import Optional
 
 from .dilog import dilog
 from .errors import DomainError, NoConvergence
@@ -38,6 +39,7 @@ EXIT_PARSE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 
+_DEFAULT_TOL = 1e-9
 _ORACLE_TOL = 1e-11
 
 
@@ -50,52 +52,57 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("LOGINT_TOL")
-    if raw is None:
-        return 1e-9
+def _resolve_tol(flag: Optional[float]) -> Optional[float]:
+    """The verification tolerance: --tol, else LOGINT_TOL, else 1e-9.
+
+    An invalid --tol gives None, which main reports as an error; an
+    invalid LOGINT_TOL warns and falls back to the default.
+    """
+    if flag is not None:
+        return flag if 0 < flag < math.inf else None  # False for NaN too
+    raw = os.environ.get("LOGINT_TOL", str(_DEFAULT_TOL))
     try:
-        value = float(raw)
-        if not _valid_tol(value):
-            raise ValueError
-        return value
+        if 0 < float(raw) < math.inf:
+            return float(raw)
     except ValueError:
-        print(
-            f"warning: ignoring invalid LOGINT_TOL={raw!r}", file=sys.stderr
-        )
-        return 1e-9
+        pass
+    print(f"warning: ignoring invalid LOGINT_TOL={raw!r}", file=sys.stderr)
+    return _DEFAULT_TOL
 
 
-def _valid_tol(tol: float) -> bool:
-    return 0 < tol < math.inf  # False for NaN too
+# The errors main reports through _classify.  A verify-batch line also
+# turns a malformed job (KeyError, TypeError, or the ValueError of
+# json.loads or int) into a record.
+_REPORTED = (ParseError, DomainError, NoConvergence)
+_BATCH_REPORTED = (*_REPORTED, KeyError, TypeError, ValueError)
+
+
+def _classify(exc: Exception) -> tuple[int, str, str]:
+    """Exit code, verify-batch record kind and stderr report of an error.
+
+    Whatever is neither a DomainError nor a NoConvergence is a parse
+    error: a ParseError, or a malformed batch line.
+    """
+    if isinstance(exc, DomainError):
+        return EXIT_DOMAIN, "domain", f"error: {exc}"
+    if isinstance(exc, NoConvergence):
+        return EXIT_VERIFY, "oracle", f"error: oracle failed: {exc}"
+    report = exc.annotate() if isinstance(exc, ParseError) else f"error: {exc}"
+    return EXIT_PARSE, "parse", report
 
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-@dataclass
-class _IntegrateOutcome:
-    """One integrate job's result, shared by `integrate` and batches."""
-
-    closed_form: str
-    terms: list
-    value: float
-    oracle: Optional[float] = None
-    abs_diff: Optional[float] = None
-    verified: Optional[bool] = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "closed_form": self.closed_form,
-            "terms": self.terms,
-            "value": self.value,
-        }
-        if self.oracle is not None:
-            out["oracle"] = self.oracle
-            out["abs_diff"] = self.abs_diff
-            out["verified"] = self.verified
-        return out
+def _read_integrand(num_text: str, den_text: str):
+    """Parse --num and --den: the numerator, the denominator as written
+    (factored or not), and the denominator expanded for the oracle."""
+    numerator = parse_polynomial(num_text)
+    denominator = parse_denominator(den_text)
+    if isinstance(denominator, FactoredDenominator):
+        return numerator, denominator, denominator.expand()
+    return numerator, denominator, denominator
 
 
 def _run_integrate_job(
@@ -106,59 +113,34 @@ def _run_integrate_job(
     power: int,
     verify: bool,
     tol: float,
-) -> _IntegrateOutcome:
-    """Parse, integrate, optionally verify.  Raises ParseError,
-    DomainError (and subclasses) or NoConvergence."""
-    numerator = parse_polynomial(num_text)
-    denominator = parse_denominator(den_text)
+) -> dict:
+    """Parse, integrate, optionally verify; the result as its JSON record.
+    Raises ParseError, DomainError (and subclasses) or NoConvergence."""
+    numerator, denominator, expanded = _read_integrand(num_text, den_text)
     lower = parse_rational(lower_text)
     upper = parse_rational(upper_text)
-    spec = IntegralSpec(
-        numerator=numerator,
-        denominator=denominator,
-        lower=lower,
-        upper=upper,
-        log_power=power,
-    )
-    form = integrate_rational_log(spec)
+    form = integrate_rational_log(IntegralSpec(
+        numerator=numerator, denominator=denominator,
+        lower=lower, upper=upper, log_power=power,
+    ))
     value = form.evalf()
-    outcome = _IntegrateOutcome(
-        closed_form=str(form),
-        terms=form.to_json_dict()["terms"],
-        value=value,
-    )
+    result = {
+        "closed_form": str(form),
+        "terms": form.to_json_dict()["terms"],
+        "value": value,
+    }
     if verify:
-        den_poly = (
-            denominator.expand()
-            if isinstance(denominator, FactoredDenominator)
-            else denominator
-        )
         oracle = quad_log(
-            (numerator, den_poly),
-            lower,
-            upper,
-            m=power,
-            tol=min(_ORACLE_TOL, tol / 10.0),
+            (numerator, expanded), lower, upper,
+            m=power, tol=min(_ORACLE_TOL, tol / 10.0),
         )
         diff = abs(value - oracle.value)
-        outcome.oracle = oracle.value
-        outcome.abs_diff = diff
-        outcome.verified = oracle.converged and diff <= tol * (
+        result["oracle"] = oracle.value
+        result["abs_diff"] = diff
+        result["verified"] = oracle.converged and diff <= tol * (
             1.0 + abs(oracle.value)
         )
-    return outcome
-
-
-def _print_outcome(outcome: _IntegrateOutcome, as_json: bool, out: TextIO) -> None:
-    if as_json:
-        print(json.dumps(outcome.to_json_dict()), file=out)
-        return
-    print(f"closed-form: {outcome.closed_form}", file=out)
-    print(f"value: {_fmt(outcome.value)}", file=out)
-    if outcome.oracle is not None:
-        print(f"oracle: {_fmt(outcome.oracle)}", file=out)
-        print(f"abs-diff: {outcome.abs_diff:.3g}", file=out)
-        print(f"verified: {'ok' if outcome.verified else 'MISMATCH'}", file=out)
+    return result
 
 
 def _parse_bound_loose(text: str) -> float:
@@ -176,37 +158,25 @@ def _parse_bound_loose(text: str) -> float:
 
 
 def _cmd_numeric_only(args: argparse.Namespace) -> int:
+    numerator, _, denominator = _read_integrand(args.num, args.den)
+    lower = _parse_bound_loose(args.lower)
+    upper = _parse_bound_loose(args.upper)
     try:
-        numerator = parse_polynomial(args.num)
-        denominator = parse_denominator(args.den)
-        if isinstance(denominator, FactoredDenominator):
-            denominator = denominator.expand()
-        lower = _parse_bound_loose(args.lower)
-        upper = _parse_bound_loose(args.upper)
         result = quad_log(
             (numerator, denominator), lower, upper,
             m=args.power, tol=min(_ORACLE_TOL, args.tol),
         )
-    except ParseError as exc:
-        print(exc.annotate(), file=sys.stderr)
-        return EXIT_PARSE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        # Here the oracle is the answer, not a check of one: when it fails
+        # there is no value for this input, so it is a domain error.
+        raise DomainError(str(exc)) from exc
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "value": result.value,
-                    "abs_error_estimate": result.abs_error_estimate,
-                    "evaluations": result.evaluations,
-                    "converged": result.converged,
-                }
-            )
-        )
+        print(json.dumps({
+            "value": result.value,
+            "abs_error_estimate": result.abs_error_estimate,
+            "evaluations": result.evaluations,
+            "converged": result.converged,
+        }))
     else:
         print(f"value: {_fmt(result.value)}")
         print(f"error-estimate: {result.abs_error_estimate:.3g}")
@@ -217,46 +187,27 @@ def _cmd_numeric_only(args: argparse.Namespace) -> int:
 def _cmd_integrate(args: argparse.Namespace) -> int:
     if args.numeric_only:
         return _cmd_numeric_only(args)
-    try:
-        outcome = _run_integrate_job(
-            args.num, args.den, args.lower, args.upper,
-            args.power, args.verify, args.tol,
-        )
-    except ParseError as exc:
-        print(exc.annotate(), file=sys.stderr)
-        return EXIT_PARSE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NoConvergence as exc:
-        print(f"error: oracle failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    _print_outcome(outcome, args.json, sys.stdout)
-    if args.verify and not outcome.verified:
-        return EXIT_VERIFY
-    return EXIT_OK
+    result = _run_integrate_job(
+        args.num, args.den, args.lower, args.upper,
+        args.power, args.verify, args.tol,
+    )
+    if args.json:
+        print(json.dumps(result))
+    else:
+        print(f"closed-form: {result['closed_form']}")
+        print(f"value: {_fmt(result['value'])}")
+        if args.verify:
+            print(f"oracle: {_fmt(result['oracle'])}")
+            print(f"abs-diff: {result['abs_diff']:.3g}")
+            print(f"verified: {'ok' if result['verified'] else 'MISMATCH'}")
+    return EXIT_VERIFY if args.verify and not result["verified"] else EXIT_OK
 
 
 def _cmd_dilog(args: argparse.Namespace) -> int:
-    try:
-        x = parse_rational(args.x)
-        result = dilog(x)
-    except ParseError as exc:
-        print(exc.annotate(), file=sys.stderr)
-        return EXIT_PARSE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    x = parse_rational(args.x)
+    result = dilog(x)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "x": str(x),
-                    "value": result.value,
-                    "est_error": result.est_error,
-                }
-            )
-        )
+        print(json.dumps({"x": str(x), "value": result.value, "est_error": result.est_error}))
     else:
         print(f"Li2({x}) = {_fmt(result.value)}")
         print(f"est-error: {result.est_error:.3g}")
@@ -264,11 +215,7 @@ def _cmd_dilog(args: argparse.Namespace) -> int:
 
 
 def _cmd_unimodal(args: argparse.Namespace) -> int:
-    try:
-        report = coeff_report(args.n, args.family)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    report = coeff_report(args.n, args.family)
     if args.json:
         print(json.dumps(report.to_json_dict()))
         return EXIT_OK
@@ -284,48 +231,43 @@ def _cmd_unimodal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_batch(args: argparse.Namespace) -> int:
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     worst = EXIT_OK
     index = 0
-    for line in lines:
+    for line in text.splitlines():
         if not line.strip():
             continue
         record: dict = {"index": index}
         try:
             job = json.loads(line)
-            outcome = _run_integrate_job(
+            result = _run_integrate_job(
                 str(job["num"]),
                 str(job["den"]),
                 str(job.get("lower", "0")),
                 str(job.get("upper", "1")),
-                int(job.get("power", 1)),
+                int(str(job.get("power", 1))),  # as --power reads it: 1.7, true fail
                 verify=True,
                 tol=args.tol,
             )
-            record.update(outcome.to_json_dict())
-            record["ok"] = bool(outcome.verified)
-            if not outcome.verified:
+        except _BATCH_REPORTED as exc:
+            code, kind, _ = _classify(exc)
+            record.update(ok=False, kind=kind, error=str(exc))
+        else:
+            record.update(result, ok=bool(result["verified"]))
+            code = EXIT_OK
+            if not result["verified"]:
                 record["kind"] = "mismatch"
-                worst = max(worst, EXIT_VERIFY)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, DomainError):
-                record.update(ok=False, kind="domain", error=str(exc))
-                worst = max(worst, EXIT_DOMAIN)
-            else:
-                record.update(ok=False, kind="parse", error=str(exc))
-                worst = max(worst, EXIT_PARSE)
-        except NoConvergence as exc:
-            record.update(ok=False, kind="oracle", error=str(exc))
-            worst = max(worst, EXIT_VERIFY)
+                code = EXIT_VERIFY
+        worst = max(worst, code)
         print(json.dumps(record))
         index += 1
     return worst
@@ -407,12 +349,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_flag_values(argv))
-    if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-        args.tol = _default_tol()
-    if getattr(args, "tol", None) is not None and not _valid_tol(args.tol):
-        print("error: tolerance must be positive and finite", file=sys.stderr)
-        return EXIT_PARSE
-    return args.func(args)
+    if hasattr(args, "tol"):
+        args.tol = _resolve_tol(args.tol)
+        if args.tol is None:
+            print("error: tolerance must be positive and finite", file=sys.stderr)
+            return EXIT_PARSE
+    try:
+        return args.func(args)
+    except _REPORTED as exc:
+        code, _, report = _classify(exc)
+        print(report, file=sys.stderr)
+        return code
 
 
 def app() -> None:

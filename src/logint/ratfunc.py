@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import NonRationalPole, PoleCollision, ZeroDenominator
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, exact
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,13 @@ class FactoredDenominator:
     factors: tuple[tuple[Fraction, int], ...]  # (shift, multiplicity)
 
     def __post_init__(self) -> None:
-        const = Fraction(self.constant)
+        const = exact(self.constant, "constant factor")
         if const == 0:
             raise ZeroDenominator("constant factor must be nonzero")
         seen: set[Fraction] = set()
         norm: list[tuple[Fraction, int]] = []
         for shift, mult in self.factors:
-            shift = Fraction(shift)
+            shift = exact(shift, "factor shift")
             if not isinstance(mult, int) or mult < 1:
                 raise ValueError("factor multiplicity must be a positive integer")
             if shift in seen:

@@ -280,6 +280,29 @@ class TestVerifyBatch:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("power", [1.7, True, 2.0])
+    def test_power_is_read_as_the_flag_reads_it(self, capsys, monkeypatch, power):
+        # int() would truncate these to an accepted power and report ok.
+        line = json.dumps(
+            {"num": "1", "den": "(x+1)", "lower": "0", "upper": "1", "power": power}
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code = main(["verify-batch"])
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert len(records) == 1
+        assert records[0]["ok"] is False and records[0]["kind"] == "parse"
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.ndjson"
+        jobs.write_bytes(b"\xff" + json.dumps({"num": "1", "den": "x+1"}).encode())
+        code = main(["verify-batch", "--input", str(jobs)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {jobs}: ")
+        assert "Traceback" not in captured.err
+
 
 class TestFlagsAndEnvironment:
     def test_unknown_flag_exits_1(self, capsys):

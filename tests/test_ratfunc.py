@@ -82,6 +82,16 @@ class TestFactoredDenominator:
         with pytest.raises(ValueError):
             FactoredDenominator(constant=Fraction(1), factors=((Fraction(1), 0),))
 
+    def test_rejects_floats(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10:
+        # a float pole would be integrated exactly, at the wrong place.
+        with pytest.raises(TypeError):
+            FactoredDenominator(constant=1.5, factors=((Fraction(1, 10), 1),))
+        with pytest.raises(TypeError):
+            FactoredDenominator(constant=1, factors=((0.1, 1),))
+        den = FactoredDenominator(constant=3, factors=((Fraction(1, 10), 1),))
+        assert den.pole_locations() == (Fraction(-1, 10),)
+
     def test_factor_denominator_requires_rational_roots(self):
         with pytest.raises(NonRationalPole):
             factor_denominator(Polynomial((2, 0, 1)))
