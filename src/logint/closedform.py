@@ -120,7 +120,10 @@ class LogPow(Atom):
         object.__setattr__(self, "arg", arg)
 
     def value(self) -> float:
-        return _log_fraction(self.arg) ** self.power
+        try:
+            return _log_fraction(self.arg) ** self.power
+        except OverflowError:
+            raise DomainError(f"{self} is beyond floating-point range") from None
 
     def sort_key(self) -> tuple:
         return (self._rank, self.arg, self.power)
@@ -173,7 +176,7 @@ class Dilog(Atom):
         object.__setattr__(self, "arg", arg)
 
     def value(self) -> float:
-        return dilog(float(self.arg)).value
+        return dilog(self.arg).value
 
     def sort_key(self) -> tuple:
         return (self._rank, self.arg)
@@ -376,8 +379,17 @@ class ClosedForm:
     # -- evaluation -----------------------------------------------------------
 
     def evalf(self) -> float:
-        """Numeric value; exactly-rounded sum of the term values."""
-        return math.fsum(float(c) * atom.value() for atom, c in self.terms())
+        """Numeric value; exactly-rounded sum of the term values.  A
+        coefficient, term or sum beyond float range is a DomainError."""
+        try:
+            terms = [float(c) * atom.value() for atom, c in self.terms()]
+            if all(map(math.isfinite, terms)):
+                value = math.fsum(terms)
+                if math.isfinite(value):
+                    return value
+        except OverflowError:  # float(c), or the partial sums in fsum
+            pass
+        raise DomainError("the value of the closed form is beyond floating-point range")
 
     # -- serialization ----------------------------------------------------------
 

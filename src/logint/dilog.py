@@ -37,8 +37,11 @@ class DilogResult:
 
 
 def dilog(x: Union[float, int, Fraction]) -> DilogResult:
-    """Li2(x) for x <= 1/2."""
-    x = float(x)
+    """Li2(x) for x <= 1/2; an exact x beyond float range is a DomainError."""
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError("dilog argument is beyond floating-point range") from None
     if math.isnan(x) or x > 0.5:
         raise DomainError(f"dilog argument must be <= 1/2, got {x}")
     if x == 0.0:

@@ -243,8 +243,3 @@ def _as_poly(value) -> Polynomial | None:
     if isinstance(value, (int, Fraction)):
         return Polynomial((value,))
     return None
-
-
-ZERO = Polynomial()
-ONE = Polynomial((1,))
-X = Polynomial((0, 1))

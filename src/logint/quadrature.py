@@ -1,8 +1,10 @@
 """Numeric oracle: adaptive quadrature for int_a^b R(x) (ln x)^m dx.
 
 This route never touches the closed-form machinery, so it can referee
-it.  The integrand may be given as a FactoredRationalFunction, as a raw
-(numerator, denominator) Polynomial pair, or as a single Polynomial.
+it.  The integrand is the raw (numerator, denominator) Polynomial pair,
+never its partial-fraction decomposition: the oracle evaluates P(x)/Q(x)
+in floats and finds the real poles from Q's coefficients, so it shares
+no algebra with the routes it checks.  A polynomial P is (P, 1).
 
 For a = 0 with m >= 1 the integrand has a logarithmic singularity at the
 origin; the substitution x = exp(-u) turns int_0^s into
@@ -23,15 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 from .errors import DomainError, NoConvergence, SingularInterior, ZeroDenominator
 from .poly import Polynomial
-from .ratfunc import FactoredRationalFunction
-
-Integrand = Union[
-    FactoredRationalFunction, tuple[Polynomial, Polynomial], Polynomial
-]
 
 
 @dataclass(frozen=True)
@@ -42,29 +39,6 @@ class QuadResult:
     converged: bool
 
 
-def _as_evaluator(integrand: Integrand) -> tuple[Callable[[float], float], list[float]]:
-    """Scalar evaluator plus the real pole locations."""
-    if isinstance(integrand, FactoredRationalFunction):
-        return integrand, [float(p) for p in integrand.pole_locations()]
-    if isinstance(integrand, Polynomial):
-        return (lambda x: integrand(float(x))), []
-    num, den = integrand
-    if den.is_zero:
-        raise ZeroDenominator("denominator is identically zero")
-    if den.degree == 0:
-        c = float(den.coeff(0))
-        return (lambda x: num(float(x)) / c), []
-    import numpy as np  # on first use, as scipy in quad_log
-
-    roots = np.roots([float(c) for c in reversed(den.coeffs)])
-    poles = [
-        float(r.real)
-        for r in roots
-        if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))
-    ]
-    return (lambda x: num(float(x)) / den(float(x))), poles
-
-
 def _upper_incomplete_gamma(m: int, u: float) -> float:
     """Gamma(m+1, u) = m! e^{-u} sum_{k<=m} u^k/k!  (integer m >= 0)."""
     s = math.fsum(u**k / math.factorial(k) for k in range(m + 1))
@@ -72,17 +46,19 @@ def _upper_incomplete_gamma(m: int, u: float) -> float:
 
 
 def quad_log(
-    integrand: Integrand,
+    integrand: tuple[Polynomial, Polynomial],
     a,
     b,
     m: int = 1,
     tol: float = 1e-11,
     max_evals: int = 1_000_000,
 ) -> QuadResult:
-    """Numerically integrate R(x) (ln x)^m over [a, b], 0 <= a < b."""
+    """Numerically integrate P(x)/Q(x) (ln x)^m over [a, b], 0 <= a < b,
+    the integrand given as the pair (P, Q)."""
     # Imported on first use, not with the module: numpy and scipy make
     # `import logint` take about five times the memory, and the symbolic
     # side never needs them.
+    import numpy as np
     from scipy.integrate import quad
 
     a = float(a)
@@ -98,13 +74,19 @@ def quad_log(
     if not b > a:
         raise DomainError(f"need lower < upper, got [{a}, {b}]")
 
-    f, poles = _as_evaluator(integrand)
+    num, den = integrand
+    if den.is_zero:
+        raise ZeroDenominator("denominator is identically zero")
     margin = 1e-12 * (1.0 + abs(a) + abs(b))
-    for p in poles:
-        if a - margin <= p <= b + margin:
+    for root in np.roots([float(c) for c in reversed(den.coeffs)]):
+        p = float(root.real)
+        if abs(root.imag) <= 1e-9 * (1.0 + abs(p)) and a - margin <= p <= b + margin:
             raise SingularInterior(
                 f"integrand has a pole at x = {p:.17g} inside [{a:g}, {b:g}]"
             )
+
+    def f(x: float) -> float:
+        return num(float(x)) / den(float(x))
 
     count = 0
 

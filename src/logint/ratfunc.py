@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import NonRationalPole, PoleCollision, ZeroDenominator
-from .poly import Polynomial, Scalar, exact
+from .poly import Polynomial, exact
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,7 @@ class PoleTerm:
     """All partial-fraction terms attached to one pole x = -shift."""
 
     shift: Fraction
-    multiplicity: int
-    residues: tuple[Fraction, ...]  # residues[j-1] / (x + shift)^j
-
-    def __post_init__(self) -> None:
-        if len(self.residues) != self.multiplicity:
-            raise ValueError("need one residue per power up to the multiplicity")
+    residues: tuple[Fraction, ...]  # residues[j-1] / (x + shift)^j; multiplicity len(residues)
 
 
 @dataclass(frozen=True)
@@ -172,40 +167,19 @@ class FactoredRationalFunction:
     quotient: Polynomial
     poles: tuple[PoleTerm, ...]
 
-    def __post_init__(self) -> None:
-        shifts = [p.shift for p in self.poles]
-        if len(set(shifts)) != len(shifts):
-            raise PoleCollision("poles must have distinct shifts")
-
-    def pole_locations(self) -> tuple[Fraction, ...]:
-        return tuple(-p.shift for p in self.poles)
-
-    def denominator(self) -> Polynomial:
-        """Monic common denominator prod (x + shift)^mult."""
-        out = Polynomial((1,))
-        for p in self.poles:
-            out = out * Polynomial((p.shift, 1)) ** p.multiplicity
-        return out
-
     def recompose(self) -> tuple[Polynomial, Polynomial]:
-        """Return (P, Q) with self == P/Q and Q the monic denominator."""
-        q = self.denominator()
+        """Return (P, Q) with self == P/Q and Q the monic denominator;
+        two poles with one shift raise PoleCollision."""
+        factors = tuple((pole.shift, len(pole.residues)) for pole in self.poles)
+        q = FactoredDenominator(1, factors).expand()
         p = self.quotient * q
         for pole in self.poles:
+            mult = len(pole.residues)
             base = Polynomial((pole.shift, 1))
-            rest = q // base ** pole.multiplicity
+            rest = q // base ** mult
             for j, c in enumerate(pole.residues, start=1):
-                p = p + c * (rest * base ** (pole.multiplicity - j))
+                p = p + c * (rest * base ** (mult - j))
         return p, q
-
-    def __call__(self, x: float) -> float:
-        acc = self.quotient(float(x))
-        for pole in self.poles:
-            base = float(x) + float(pole.shift)
-            for j, c in enumerate(pole.residues, start=1):
-                if c:
-                    acc += float(c) / base**j
-        return acc
 
 
 def partial_fractions(
@@ -235,6 +209,6 @@ def partial_fractions(
             num -= sum(series[u] * d[t - u] for u in range(t) if t - u < len(d))
             series.append(num / d[0])
         residues = tuple(series[mult - j] for j in range(1, mult + 1))
-        poles.append(PoleTerm(shift=shift, multiplicity=mult, residues=residues))
+        poles.append(PoleTerm(shift=shift, residues=residues))
 
     return FactoredRationalFunction(quotient=quotient, poles=tuple(poles))

@@ -113,6 +113,27 @@ class TestIntegrate:
         assert code == 2
         assert "error:" in err
 
+    # Exact results whose float value is out of range: a domain error,
+    # not an OverflowError traceback.
+    def test_coefficient_beyond_float_range_exits_2(self, capsys):
+        # int_0^2 (ln x)^400 dx has coefficients near 400!
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--num", "1", "--den", "1",
+            "--lower", "0", "--upper", "2", "--power", "400",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the value of the closed form is beyond floating-point range\n"
+
+    def test_dilog_argument_beyond_float_range_exits_2(self, capsys):
+        # The closed form holds Li2(-10^400).
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--num", "1", "--den", "x+1", "--lower", "0", "--upper", "1e400",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: dilog argument is beyond floating-point range\n"
+
 
 class TestNumericOnly:
     def test_irrational_poles_outside_interval(self, capsys):
@@ -187,6 +208,11 @@ class TestDilog:
         assert code == 2
         assert "error:" in err
 
+    def test_argument_beyond_float_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "dilog", "--x", "-1e400")
+        assert (code, out) == (2, "")
+        assert err == "error: dilog argument is beyond floating-point range\n"
+
 
 class TestUnimodal:
     def test_json_matches_library(self, capsys):
@@ -240,6 +266,22 @@ class TestVerifyBatch:
         assert records[1]["ok"] is False and records[1]["kind"] == "parse"
         assert records[2]["ok"] is False and records[2]["kind"] == "domain"
         assert code == 2  # worst failure wins
+
+    def test_values_beyond_float_range_do_not_abort_the_batch(self, capsys, monkeypatch):
+        jobs = [
+            {"num": "1", "den": "x+1", "lower": "0", "upper": "1e400"},
+            {"num": "1", "den": "1", "lower": "0", "upper": "2", "power": 400},
+            {"num": "1", "den": "(x+1)", "lower": "0", "upper": "1"},
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(j) + "\n" for j in jobs)))
+        code = main(["verify-batch"])
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [r["index"] for r in records] == [0, 1, 2]
+        for bad in records[:2]:
+            assert bad["ok"] is False and bad["kind"] == "domain"
+            assert "beyond floating-point range" in bad["error"]
+        assert records[2]["ok"] is True
+        assert code == 2
 
     def test_malformed_jobs_do_not_abort_the_batch(self, capsys, tmp_path):
         good = json.dumps({"num": "1", "den": "(x+1)", "lower": "0", "upper": "1"})

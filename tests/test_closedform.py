@@ -44,6 +44,12 @@ class TestAtomValidation:
         Dilog(Fraction(1, 2))  # boundary allowed
         Dilog(Fraction(-100))
 
+    def test_values_beyond_float_range(self):
+        with pytest.raises(DomainError, match="beyond floating-point range"):
+            LogPow(Fraction(10**10), 400).value()
+        with pytest.raises(DomainError, match="beyond floating-point range"):
+            Dilog(Fraction(-(10**400))).value()
+
     def test_logprod_sorts_arguments(self):
         assert LogProd(Fraction(5), Fraction(2)) == LogProd(Fraction(2), Fraction(5))
 
@@ -168,6 +174,20 @@ class TestArithmetic:
 
     def test_evalf_of_zero(self):
         assert ClosedForm.zero().evalf() == 0.0
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {Unit(): Fraction(10**400)},  # the coefficient itself
+            {Log(Fraction(10**300)): Fraction(10**307)},  # coefficient times atom
+            {Unit(): Fraction(10**308), PiSquared(): Fraction(10**308)},  # the sum
+            {LogPow(Fraction(10**10), 400): Fraction(1)},  # the atom's value
+            {Dilog(Fraction(-(10**400))): Fraction(1)},  # the dilog argument
+        ],
+    )
+    def test_evalf_beyond_float_range_is_a_domain_error(self, terms):
+        with pytest.raises(DomainError, match="beyond floating-point range"):
+            ClosedForm(terms).evalf()
 
     def test_homomorphism_random(self):
         rng = random.Random(333)

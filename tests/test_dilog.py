@@ -59,6 +59,10 @@ class TestPointValues:
             dilog(float("nan"))
         dilog(0.5)  # boundary is allowed
 
+    def test_exact_argument_beyond_float_range(self):
+        with pytest.raises(DomainError, match="beyond floating-point range"):
+            dilog(Fraction(-(10**400)))
+
 
 class TestErrorEstimate:
     # Arguments within ~1e-4 of -1 are excluded: there the series hits

@@ -1,5 +1,6 @@
 """Quadrature oracle: endpoint singularity handling, errors, budgets."""
 
+import ast
 import math
 import os
 import random
@@ -16,7 +17,6 @@ from logint import (
     Polynomial,
     SingularInterior,
     ZeroDenominator,
-    partial_fractions,
     quad_log,
 )
 
@@ -40,7 +40,7 @@ class TestFrozenIntegrals:
         assert res.value == pytest.approx(-math.log(2), abs=1e-11)
 
     def test_cubed_log(self):
-        res = quad_log(ONE, 0, 1, m=3)
+        res = quad_log((ONE, ONE), 0, 1, m=3)
         assert res.converged
         assert res.value == pytest.approx(-6.0, abs=1e-11)
 
@@ -63,7 +63,7 @@ class TestPolynomialExactness:
                 (c * (b ** (j + 1) - a ** (j + 1))) / (j + 1)
                 for j, c in enumerate(coeffs)
             )
-            res = quad_log(p, a, b, m=0)
+            res = quad_log((p, ONE), a, b, m=0)
             assert res.converged
             assert abs(res.value - float(exact)) <= 1e-13 * (1 + abs(float(exact)))
 
@@ -73,7 +73,7 @@ class TestConsistency:
         (rational(ONE, Polynomial((1, 1))), 0, 4, 1),
         (rational(Polynomial((0, 1)), Polynomial((3, 1)) ** 2), 0, 2, 1),
         (rational(ONE, Polynomial((F(1, 2), 1))), F(1, 2), 6, 1),
-        (Polynomial((1, -2, 3)), 0, 3, 2),
+        (rational(Polynomial((1, -2, 3)), ONE), 0, 3, 2),
     ]
 
     @pytest.mark.parametrize("f,a,b,m", CASES)
@@ -98,23 +98,12 @@ class TestConsistency:
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse
 
-    def test_factored_route_matches_raw_route(self):
-        den = Polynomial((1, 1)) * Polynomial((2, 1)) ** 2
-        num = Polynomial((3, 0, 1))
-        frf = partial_fractions(num, den)
-        raw = quad_log((num, den), F(1, 2), 3)
-        fac = quad_log(frf, F(1, 2), 3)
-        assert raw.converged and fac.converged
-        assert abs(raw.value - fac.value) <= (
-            raw.abs_error_estimate + fac.abs_error_estimate + 1e-15
-        )
-
 
 class TestFailureModes:
     def test_pole_inside_interval_exact(self):
-        frf = partial_fractions(ONE, Polynomial((F(-3, 2), 1)))
+        # A rational pole, x = 3/2, found from the coefficients like any other.
         with pytest.raises(SingularInterior):
-            quad_log(frf, 1, 2)
+            quad_log(rational(ONE, Polynomial((F(-3, 2), 1))), 1, 2)
 
     def test_pole_inside_interval_detected_numerically(self):
         # x^2 - 2 has no rational roots; the pole at sqrt(2) must still
@@ -168,3 +157,24 @@ def test_symbolic_side_does_not_load_the_oracle_dependencies():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_oracle_imports_no_symbolic_module():
+    # The oracle referees partial fractions and closed forms, so of the
+    # package it imports only the error types and the polynomial class
+    # that its (P, Q) input is made of.
+    path = Path(__file__).resolve().parent.parent / "src" / "logint" / "quadrature.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"logint.{module}".rstrip(".")
+            if module == "logint":  # from . import x, from logint import x
+                modules.update(f"logint.{alias.name}" for alias in node.names)
+            else:
+                modules.add(module)
+    ours = {m for m in modules if m.split(".")[0] == "logint"}
+    assert ours <= {"logint.errors", "logint.poly"}, sorted(ours)

@@ -5,8 +5,10 @@ import pytest
 
 from logint import (
     FactoredDenominator,
+    FactoredRationalFunction,
     NonRationalPole,
     PoleCollision,
+    PoleTerm,
     Polynomial,
     ZeroDenominator,
     factor_denominator,
@@ -153,15 +155,10 @@ class TestPartialFractions:
             # P/Q == P2/Q2 as rational functions
             assert num * q2 == p2 * den.expand()
 
-    def test_float_evaluation_matches_recomposition(self):
-        rng = random.Random(99)
-        for _ in range(20):
-            num = self._random_poly(rng)
-            den = self._random_den(rng)
-            frf = partial_fractions(num, den)
-            x = 1.0 + rng.random() * 5.0
-            direct = num(x) / den.expand()(x)
-            assert abs(frf(x) - direct) <= 1e-9 * (1.0 + abs(direct))
+    def test_recompose_rejects_a_repeated_pole(self):
+        pole = PoleTerm(shift=Fraction(1), residues=(Fraction(1),))
+        with pytest.raises(PoleCollision):
+            FactoredRationalFunction(quotient=Polynomial(), poles=(pole, pole)).recompose()
 
     @staticmethod
     def _random_poly(rng):
