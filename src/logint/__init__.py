@@ -2,8 +2,8 @@
 
 The library integrates rational functions with rational negative poles
 against integer powers of ln x, producing exact symbolic results over a
-small atom vocabulary (logs, log products and powers, pi^2, and the
-dilogarithm at arguments <= 1/2), together with an independent numeric
+small atom vocabulary (products of pi^2, powers of logs and a dilogarithm
+at an argument <= 1/2), together with an independent numeric
 oracle for verification.
 """
 
@@ -12,12 +12,9 @@ from .closedform import (
     ClosedForm,
     Dilog,
     Log,
-    LogPow,
     LogProd,
     PI_SQUARED_ATOM,
-    PiSquared,
     UNIT,
-    Unit,
     atom_from_json_dict,
 )
 from .dilog import DilogResult, PI_SQUARED, dilog, euler_identity_residual
@@ -82,14 +79,12 @@ __all__ = [
     "IntegralSpec",
     "Log",
     "LogIntegralParts",
-    "LogPow",
     "LogProd",
     "NoConvergence",
     "NonRationalPole",
     "ParseError",
     "PI_SQUARED",
     "PI_SQUARED_ATOM",
-    "PiSquared",
     "PoleCollision",
     "PoleInInterval",
     "PoleTerm",
@@ -97,7 +92,6 @@ __all__ = [
     "QuadResult",
     "SingularInterior",
     "UNIT",
-    "Unit",
     "UnsupportedLogPower",
     "UnsupportedPole",
     "ZeroDenominator",

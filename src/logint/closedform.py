@@ -1,20 +1,27 @@
-"""Symbolic closed forms: rational combinations of a small atom set.
+"""Symbolic closed forms: rational combinations of product atoms.
 
 A ClosedForm is a finite sum  sum_i coeff_i * atom_i  with Fraction
-coefficients.  The atoms are exactly the quantities that elementary
-logarithmic integrals of rational functions can produce:
+coefficients.  Every atom is one product
 
-    Unit            the constant 1
-    PiSquared       pi^2
-    Log(q)          ln q,  rational q > 0
-    LogPow(q, k)    (ln q)^k,  k >= 1
-    LogProd(q1,q2)  ln q1 * ln q2, stored with q1 <= q2
-    Dilog(q)        Li2(q),  rational q <= 1/2
+    pi^(2*pi2) * prod_i (ln q_i)^k_i * Li2(d)
 
-Atoms are permissive (Log(1), Dilog(0) and Dilog(-1) are legal atoms),
-but a ClosedForm is canonical by construction: it rewrites every such
-reducible atom away and merges duplicates when it is built, so two forms
-are equal exactly when their term dicts are.
+of a power of pi^2, powers k >= 1 of logs of rationals q > 0 (sorted by
+q), and at most one dilogarithm at a rational d <= 1/2.  The products
+that elementary logarithmic integrals of rational functions produce come
+in six kinds, and an atom of any other shape is refused:
+
+    kind      product                 built by           printed
+    unit      the empty product       UNIT               1
+    pi2       pi^2                    PI_SQUARED_ATOM    pi^2
+    log       ln q                    Log(q)             ln(q)
+    logpow    (ln q)^k, k >= 2        Log(q, k)          ln(q)^k
+    logprod   ln q1 * ln q2, q1 <= q2 LogProd(q1, q2)    ln(q1)*ln(q2)
+    dilog     Li2(d)                  Dilog(d)           Li2(d)
+
+An atom may hold factors that reduce (ln 1, ln q with q < 1, ln q ln q,
+Li2(0), Li2(-1)), but a ClosedForm is canonical by construction: it
+applies one rule per factor when it is built and merges duplicates, so
+two forms are equal exactly when their term dicts are.
 Numeric evaluation goes through ``evalf``.  Serialization to/from JSON
 is exact: coefficients and atom arguments travel as fraction strings.
 """
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -31,165 +38,128 @@ from .dilog import dilog
 from .errors import DomainError
 from .poly import Scalar, exact
 
+# One row per atom kind, in sort order: the JSON kind, the power of
+# pi^2, one (argument, power) pair of JSON field names per log factor
+# (power None: the factor is ln q; else (ln q)^k with k >= 2), and the
+# JSON field of the dilog argument (None: no dilog).
+_KINDS = (
+    ("unit", 0, (), None),
+    ("pi2", 1, (), None),
+    ("log", 0, (("arg", None),), None),
+    ("logpow", 0, (("arg", "power"),), None),
+    ("logprod", 0, (("first", None), ("second", None)), None),
+    ("dilog", 0, (), "arg"),
+)
 
+
+def _shape(pi2: int, logs: Iterable, dilog_arg: Optional[Fraction]) -> tuple:
+    # Which log factors have a power above 1 tells ln q from (ln q)^k.
+    return (pi2, tuple([k > 1 for _, k in logs]), dilog_arg is not None)
+
+
+_KIND_OF_SHAPE = {
+    (pi2, tuple([power is not None for _, power in fields]), arg is not None): i
+    for i, (_, pi2, fields, arg) in enumerate(_KINDS)
+}
+
+
+@dataclass(frozen=True)
 class Atom:
-    """Base for the closed-form vocabulary; subclasses are frozen."""
+    """pi^(2*pi2) * prod (ln q)^k over ``logs`` * Li2(dilog)."""
 
-    _rank: int = -1
-
-    def value(self) -> float:
-        raise NotImplementedError
-
-    def sort_key(self) -> tuple:
-        raise NotImplementedError
-
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Unit(Atom):
-    _rank = 0
-
-    def value(self) -> float:
-        return 1.0
-
-    def sort_key(self) -> tuple:
-        return (self._rank,)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "unit"}
-
-    def __str__(self) -> str:
-        return "1"
-
-
-@dataclass(frozen=True)
-class PiSquared(Atom):
-    _rank = 1
-
-    def value(self) -> float:
-        return math.pi * math.pi
-
-    def sort_key(self) -> tuple:
-        return (self._rank,)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "pi2"}
-
-    def __str__(self) -> str:
-        return "pi^2"
-
-
-@dataclass(frozen=True)
-class Log(Atom):
-    arg: Fraction
-    _rank = 2
+    pi2: int = 0
+    logs: tuple[tuple[Fraction, int], ...] = ()
+    dilog: Optional[Fraction] = None
+    _kind: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arg = exact(self.arg, "Log argument")
-        if arg <= 0:
-            raise DomainError(f"Log argument must be positive, got {arg}")
-        object.__setattr__(self, "arg", arg)
+        logs = []
+        for q, k in self.logs:
+            q = exact(q, "log argument")
+            if q <= 0:
+                raise DomainError(f"log argument must be positive, got {q}")
+            if not isinstance(k, int) or k < 1:
+                raise DomainError("log power must be an integer >= 1")
+            logs.append((q, k))
+        d = self.dilog
+        if d is not None:
+            d = exact(d, "Li2 argument")
+            if d > Fraction(1, 2):
+                raise DomainError(f"Li2 argument must be <= 1/2, got {d}")
+        kind = _KIND_OF_SHAPE.get(_shape(self.pi2, logs, d))
+        if kind is None or not isinstance(self.pi2, int):
+            raise DomainError(f"no atom kind is the product {self!r}")
+        _init(self, self.pi2, tuple(sorted(logs)), d, kind)
 
-    def value(self) -> float:
-        return _log_fraction(self.arg)
-
-    def sort_key(self) -> tuple:
-        return (self._rank, self.arg)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "log", "arg": str(self.arg)}
-
-    def __str__(self) -> str:
-        return f"ln({self.arg})"
-
-
-@dataclass(frozen=True)
-class LogPow(Atom):
-    arg: Fraction
-    power: int
-    _rank = 3
-
-    def __post_init__(self) -> None:
-        arg = exact(self.arg, "LogPow argument")
-        if arg <= 0:
-            raise DomainError(f"LogPow argument must be positive, got {arg}")
-        if not isinstance(self.power, int) or self.power < 1:
-            raise DomainError("LogPow power must be an integer >= 1")
-        object.__setattr__(self, "arg", arg)
+    def __hash__(self) -> int:
+        return self._hash
 
     def value(self) -> float:
         try:
-            return _log_fraction(self.arg) ** self.power
+            v = (math.pi * math.pi) ** self.pi2
+            for q, k in self.logs:
+                v *= _log_fraction(q) ** k
         except OverflowError:
             raise DomainError(f"{self} is beyond floating-point range") from None
+        if self.dilog is not None:
+            v *= dilog(self.dilog).value
+        return v
 
     def sort_key(self) -> tuple:
-        return (self._rank, self.arg, self.power)
+        return (self._kind, self.logs, self.dilog)
 
     def to_json_dict(self) -> dict:
-        return {"kind": "logpow", "arg": str(self.arg), "power": self.power}
+        kind, _, fields, dilog_field = _KINDS[self._kind]
+        out: dict = {"kind": kind}
+        for (q, k), (arg, power) in zip(self.logs, fields):
+            out[arg] = str(q)
+            if power is not None:
+                out[power] = k
+        if dilog_field is not None:
+            out[dilog_field] = str(self.dilog)
+        return out
 
     def __str__(self) -> str:
-        return f"ln({self.arg})^{self.power}"
+        factors = ["pi^2"] * self.pi2
+        factors += [f"ln({q})" if k == 1 else f"ln({q})^{k}" for q, k in self.logs]
+        if self.dilog is not None:
+            factors.append(f"Li2({self.dilog})")
+        return "*".join(factors) or "1"
 
 
-@dataclass(frozen=True)
-class LogProd(Atom):
-    first: Fraction
-    second: Fraction
-    _rank = 4
-
-    def __post_init__(self) -> None:
-        a = exact(self.first, "LogProd argument")
-        b = exact(self.second, "LogProd argument")
-        if a <= 0 or b <= 0:
-            raise DomainError("LogProd arguments must be positive")
-        if b < a:
-            a, b = b, a
-        object.__setattr__(self, "first", a)
-        object.__setattr__(self, "second", b)
-
-    def value(self) -> float:
-        return _log_fraction(self.first) * _log_fraction(self.second)
-
-    def sort_key(self) -> tuple:
-        return (self._rank, self.first, self.second)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "logprod", "first": str(self.first), "second": str(self.second)}
-
-    def __str__(self) -> str:
-        return f"ln({self.first})*ln({self.second})"
+def _init(atom: Atom, pi2: int, logs: tuple, d: Optional[Fraction], kind: int) -> Atom:
+    set_field = object.__setattr__
+    set_field(atom, "pi2", pi2)
+    set_field(atom, "logs", logs)
+    set_field(atom, "dilog", d)
+    set_field(atom, "_kind", kind)
+    set_field(atom, "_hash", hash((pi2, logs, d)))
+    return atom
 
 
-@dataclass(frozen=True)
-class Dilog(Atom):
-    arg: Fraction
-    _rank = 5
-
-    def __post_init__(self) -> None:
-        arg = exact(self.arg, "Dilog argument")
-        if arg > Fraction(1, 2):
-            raise DomainError(f"Dilog argument must be <= 1/2, got {arg}")
-        object.__setattr__(self, "arg", arg)
-
-    def value(self) -> float:
-        return dilog(self.arg).value
-
-    def sort_key(self) -> tuple:
-        return (self._rank, self.arg)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "dilog", "arg": str(self.arg)}
-
-    def __str__(self) -> str:
-        return f"Li2({self.arg})"
+def _make(pi2: int, logs: tuple, d: Optional[Fraction]) -> Atom:
+    # An atom from factors that are already valid and sorted: no checks.
+    return _init(object.__new__(Atom), pi2, logs, d, _KIND_OF_SHAPE[_shape(pi2, logs, d)])
 
 
-UNIT = Unit()
-PI_SQUARED_ATOM = PiSquared()
+UNIT = Atom()
+PI_SQUARED_ATOM = Atom(pi2=1)
+
+
+def Log(q: Scalar, k: int = 1) -> Atom:
+    """(ln q)^k for rational q > 0 and k >= 1."""
+    return Atom(logs=((q, k),))
+
+
+def LogProd(q1: Scalar, q2: Scalar) -> Atom:
+    """ln q1 * ln q2 for rational q1, q2 > 0."""
+    return Atom(logs=((q1, 1), (q2, 1)))
+
+
+def Dilog(q: Scalar) -> Atom:
+    """Li2(q) for rational q <= 1/2."""
+    return Atom(dilog=q)
 
 
 def _log_fraction(q: Fraction) -> float:
@@ -198,62 +168,75 @@ def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-_KINDS = {
-    "unit": lambda d: UNIT,
-    "pi2": lambda d: PI_SQUARED_ATOM,
-    "log": lambda d: Log(Fraction(d["arg"])),
-    "logpow": lambda d: LogPow(Fraction(d["arg"]), int(d["power"])),
-    "logprod": lambda d: LogProd(Fraction(d["first"]), Fraction(d["second"])),
-    "dilog": lambda d: Dilog(Fraction(d["arg"])),
-}
-
-
-def _upright(q: Fraction) -> tuple[Fraction, int]:
-    # ln q = sign * ln(q'), with q' >= 1
-    return (1 / q, -1) if q < 1 else (q, 1)
-
-
 def _reduce(atom: Atom, c: Fraction) -> Optional[tuple[Atom, Fraction]]:
     """The canonical term equal to c * atom, or None if it vanishes.
 
-    Rules: drop ln(1) in any position, pull log arguments above 1 via
-    ln q = -ln(1/q), LogPow(q,1) -> Log(q), LogProd(q,q) -> LogPow(q,2),
-    Dilog(0) -> 0, and Dilog(-1) -> -pi^2/12.  An atom that is already
-    canonical comes back as it is.
+    One rule per factor:
+      ln 1 = 0                    the term vanishes;
+      ln q = -ln(1/q), q < 1      so (ln q)^k picks up (-1)^k;
+      ln q * ln q = (ln q)^2      equal log arguments add their powers;
+      Li2(0) = 0                  the term vanishes;
+      Li2(-1) = -pi^2/12          the dilog becomes one more pi^2.
+    An atom that is already canonical comes back as it is.
     """
-    if isinstance(atom, Log):
-        if atom.arg > 1:
-            return atom, c
-        return None if atom.arg == 1 else (Log(1 / atom.arg), -c)
-    if isinstance(atom, LogPow):
-        if atom.arg == 1:
+    pi2, d = atom.pi2, atom.dilog
+    if d is not None:
+        if d == 0:
             return None
-        q, s = _upright(atom.arg)
-        if atom.power == 1:
-            return Log(q), s * c
-        return (atom if s == 1 else LogPow(q, atom.power)), s**atom.power * c
-    if isinstance(atom, LogProd):
-        if atom.first == 1 or atom.second == 1:
-            return None
-        q1, s1 = _upright(atom.first)
-        q2, s2 = _upright(atom.second)
-        if q1 == q2:
-            return LogPow(q1, 2), s1 * s2 * c
-        return (atom if s1 == s2 == 1 else LogProd(q1, q2)), s1 * s2 * c
-    if isinstance(atom, Dilog):
-        if atom.arg == 0:
-            return None
-        if atom.arg == -1:
-            return PI_SQUARED_ATOM, -c / 12
-    return atom, c
+        if d == -1:
+            pi2, d, c = pi2 + 1, None, -c / 12
+    upright: list[tuple[Fraction, int]] = []
+    for q, k in atom.logs:
+        if not q > 1:
+            if q == 1:
+                return None
+            q = 1 / q
+            if k % 2:
+                c = -c
+        upright.append((q, k))
+    merged: list[tuple[Fraction, int]] = []
+    for q, k in sorted(upright):
+        if merged and merged[-1][0] == q:
+            k += merged.pop()[1]
+        merged.append((q, k))
+    logs = tuple(merged)
+    if pi2 == atom.pi2 and logs == atom.logs:
+        return atom, c
+    return _make(pi2, logs, d), c
+
+
+def _read_fraction(d: Mapping, key: str) -> Fraction:
+    # Only the fraction strings the writer emits: a JSON number would
+    # arrive as a float, which is not exact.
+    text = d.get(key)
+    if not isinstance(text, str):
+        raise ValueError(f"{key!r} must be a fraction string, got {text!r}")
+    return Fraction(text)
+
+
+def _read_power(d: Mapping, key: str) -> int:
+    power = d.get(key)
+    if not isinstance(power, int) or isinstance(power, bool):
+        raise ValueError(f"{key!r} must be an integer, got {power!r}")
+    return power
 
 
 def atom_from_json_dict(d: Mapping) -> Atom:
-    try:
-        builder = _KINDS[d["kind"]]
-    except KeyError:
+    """The atom whose ``to_json_dict`` is ``d``."""
+    for kind, (name, pi2, fields, dilog_field) in enumerate(_KINDS):
+        if name == d.get("kind"):
+            break
+    else:
         raise ValueError(f"unknown atom kind {d.get('kind')!r}")
-    return builder(d)
+    logs = tuple(
+        (_read_fraction(d, arg), 1 if power is None else _read_power(d, power))
+        for arg, power in fields
+    )
+    arg = None if dilog_field is None else _read_fraction(d, dilog_field)
+    atom = Atom(pi2, logs, arg)
+    if atom._kind != kind:
+        raise ValueError(f"{d} is not an atom of kind {name!r}")
+    return atom
 
 
 class ClosedForm:
@@ -409,7 +392,7 @@ class ClosedForm:
         terms = []
         for entry in data["terms"]:
             atom = atom_from_json_dict(entry["atom"])
-            terms.append((atom, Fraction(entry["coeff"])))
+            terms.append((atom, _read_fraction(entry, "coeff")))
         return cls(terms)
 
     @classmethod
@@ -437,7 +420,7 @@ class ClosedForm:
 
 def _render_term(atom: Atom, c: Fraction) -> str:
     cs = str(c) if c.denominator == 1 else f"({c})"
-    if isinstance(atom, Unit):
+    if atom == UNIT:
         return cs if c.denominator == 1 else str(c)
     if c == 1:
         return str(atom)

@@ -10,7 +10,8 @@ quantities needed are
     int_0^b ln x / (x + r)^n dx       via a first-order recurrence in n.
 
 All arithmetic on coefficients is exact; results are ClosedForm values
-over the atom set {1, pi^2, ln q, (ln q)^k, ln q1 ln q2, Li2(q)}.
+whose atoms are the products 1, pi^2, ln q, (ln q)^k, ln q1 ln q2 and
+Li2(q).
 
 Poles must lie on the strictly negative axis.  A pole inside the
 integration interval means the integral diverges (PoleInInterval); a
@@ -29,7 +30,6 @@ from .closedform import (
     ClosedForm,
     Dilog,
     Log,
-    LogPow,
     LogProd,
     UNIT,
 )
@@ -62,7 +62,7 @@ def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
     terms = []
     for i in range(k + 1):
         core = Fraction((-1) ** i * math.factorial(i), (j + 1) ** (i + 1))
-        atom = UNIT if i == k else LogPow(b, k - i)
+        atom = UNIT if i == k else Log(b, k - i)
         terms.append((atom, scale * math.comb(k, i) * core))
     return ClosedForm(terms)
 

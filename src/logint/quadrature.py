@@ -16,9 +16,11 @@ is cut at a point U chosen so that  C * Gamma(m+1, U)  is far below the
 requested tolerance, C being a sampled bound for |R| near the origin;
 the cut contributes to the reported error estimate.
 
-Real poles within (or within rounding distance of) the integration
-interval raise SingularInterior; exceeding the evaluation budget raises
-NoConvergence.
+Real poles within the integration interval, or within rounding distance
+of either endpoint, raise SingularInterior; an infinite upper limit
+counts only the poles at or above the lower one.  Coefficients or bounds
+beyond float range raise DomainError; exceeding the evaluation budget
+raises NoConvergence.
 """
 
 from __future__ import annotations
@@ -61,8 +63,18 @@ def quad_log(
     import numpy as np
     from scipy.integrate import quad
 
-    a = float(a)
-    b = float(b)
+    num, den = integrand
+    try:
+        a = float(a)
+        b = float(b)
+        # Checked here once, so the float evaluation below cannot overflow.
+        den_coeffs = [float(c) for c in reversed(den.coeffs)]
+        for c in num.coeffs:
+            float(c)
+    except OverflowError:
+        raise DomainError(
+            "an integrand coefficient or a bound is beyond floating-point range"
+        ) from None
     if not isinstance(m, int) or m < 0:
         raise DomainError("log power must be an integer >= 0")
     if m > 60:
@@ -74,13 +86,14 @@ def quad_log(
     if not b > a:
         raise DomainError(f"need lower < upper, got [{a}, {b}]")
 
-    num, den = integrand
     if den.is_zero:
         raise ZeroDenominator("denominator is identically zero")
-    margin = 1e-12 * (1.0 + abs(a) + abs(b))
-    for root in np.roots([float(c) for c in reversed(den.coeffs)]):
+    # A pole within rounding distance of either endpoint counts as inside.
+    lo = a - 1e-12 * (1.0 + a)
+    hi = b + 1e-12 * (1.0 + b)
+    for root in np.roots(den_coeffs):
         p = float(root.real)
-        if abs(root.imag) <= 1e-9 * (1.0 + abs(p)) and a - margin <= p <= b + margin:
+        if abs(root.imag) <= 1e-9 * (1.0 + abs(p)) and lo <= p <= hi:
             raise SingularInterior(
                 f"integrand has a pole at x = {p:.17g} inside [{a:g}, {b:g}]"
             )

@@ -188,6 +188,30 @@ class TestNumericOnly:
         assert doc["converged"] is True
         assert doc["value"] == pytest.approx(0.915965594177219, abs=1e-12)
 
+    def test_pole_below_an_infinite_interval(self, capsys):
+        # int_0^inf ln x / (x+1)^2 dx = 0; the pole at -1 is outside.
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--json", "--num", "1",
+            "--den", "(x+1)^2", "--lower", "0", "--upper", "inf",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [("1", "1" + "0" * 400 + "x+1"), ("1" + "0" * 400, "x+1")],
+        ids=["denominator", "numerator"],
+    )
+    def test_coefficient_beyond_float_range_exits_2(self, capsys, num, den):
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--num", num, "--den", den,
+            "--lower", "1", "--upper", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "floating-point range" in err
+
 
 class TestDilog:
     def test_text_output(self, capsys):

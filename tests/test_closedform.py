@@ -12,10 +12,9 @@ from logint import (
     Dilog,
     DomainError,
     Log,
-    LogPow,
     LogProd,
-    PiSquared,
-    Unit,
+    PI_SQUARED_ATOM,
+    UNIT,
     dilog,
 )
 from logint.closedform import atom_from_json_dict
@@ -34,9 +33,9 @@ class TestAtomValidation:
 
     def test_logpow_power(self):
         with pytest.raises(ValueError):
-            LogPow(Fraction(2), 0)
+            Log(Fraction(2), 0)
         with pytest.raises(DomainError):
-            LogPow(Fraction(-1), 2)
+            Log(Fraction(-1), 2)
 
     def test_dilog_domain(self):
         with pytest.raises(DomainError):
@@ -46,7 +45,7 @@ class TestAtomValidation:
 
     def test_values_beyond_float_range(self):
         with pytest.raises(DomainError, match="beyond floating-point range"):
-            LogPow(Fraction(10**10), 400).value()
+            Log(Fraction(10**10), 400).value()
         with pytest.raises(DomainError, match="beyond floating-point range"):
             Dilog(Fraction(-(10**400))).value()
 
@@ -54,10 +53,10 @@ class TestAtomValidation:
         assert LogProd(Fraction(5), Fraction(2)) == LogProd(Fraction(2), Fraction(5))
 
     def test_atom_values(self):
-        assert Unit().value() == 1.0
-        assert PiSquared().value() == pytest.approx(math.pi**2, rel=1e-15)
+        assert UNIT.value() == 1.0
+        assert PI_SQUARED_ATOM.value() == pytest.approx(math.pi**2, rel=1e-15)
         assert Log(Fraction(3)).value() == pytest.approx(math.log(3), rel=1e-15)
-        assert LogPow(Fraction(2), 3).value() == pytest.approx(
+        assert Log(Fraction(2), 3).value() == pytest.approx(
             math.log(2) ** 3, rel=1e-14
         )
         assert LogProd(Fraction(2), Fraction(3)).value() == pytest.approx(
@@ -69,16 +68,14 @@ class TestAtomValidation:
 
 
 def is_reduced(atom) -> bool:
-    """True when no canonicalization rule applies to ``atom``."""
-    if isinstance(atom, Log):
-        return atom.arg > 1
-    if isinstance(atom, LogPow):
-        return atom.arg > 1 and atom.power >= 2
-    if isinstance(atom, LogProd):
-        return 1 < atom.first < atom.second
-    if isinstance(atom, Dilog):
-        return atom.arg not in (0, -1)
-    return True
+    """True when no canonicalization rule applies to ``atom``: every log
+    argument is above 1, no two are equal, and Li2 is not at 0 or -1."""
+    args = [q for q, _ in atom.logs]
+    return (
+        all(q > 1 for q in args)
+        and len(set(args)) == len(args)
+        and atom.dilog not in (0, -1)
+    )
 
 
 def raw_value(terms: dict) -> float:
@@ -103,25 +100,25 @@ class TestCanonical:
 
     def test_reciprocal_flip_in_logpow(self):
         # ln(1/3)^2 = ln(3)^2, ln(1/3)^3 = -ln(3)^3
-        even = ClosedForm({LogPow(Fraction(1, 3), 2): Fraction(1)})
-        assert even == ClosedForm({LogPow(Fraction(3), 2): Fraction(1)})
-        odd = ClosedForm({LogPow(Fraction(1, 3), 3): Fraction(1)})
-        assert odd == ClosedForm({LogPow(Fraction(3), 3): Fraction(-1)})
+        even = ClosedForm({Log(Fraction(1, 3), 2): Fraction(1)})
+        assert even == ClosedForm({Log(Fraction(3), 2): Fraction(1)})
+        odd = ClosedForm({Log(Fraction(1, 3), 3): Fraction(1)})
+        assert odd == ClosedForm({Log(Fraction(3), 3): Fraction(-1)})
 
     def test_logpow_one_becomes_log(self):
-        assert ClosedForm({LogPow(Fraction(7), 1): Fraction(2)}) == ClosedForm(
+        assert ClosedForm({Log(Fraction(7), 1): Fraction(2)}) == ClosedForm(
             {Log(Fraction(7)): Fraction(2)}
         )
 
     def test_logprod_equal_args_becomes_logpow(self):
         assert ClosedForm(
             {LogProd(Fraction(5), Fraction(5)): Fraction(1)}
-        ) == ClosedForm({LogPow(Fraction(5), 2): Fraction(1)})
+        ) == ClosedForm({Log(Fraction(5), 2): Fraction(1)})
 
     def test_dilog_special_values(self):
         assert ClosedForm({Dilog(Fraction(0)): Fraction(3)}) == ClosedForm.zero()
         assert ClosedForm({Dilog(Fraction(-1)): Fraction(1)}) == ClosedForm(
-            {PiSquared(): Fraction(-1, 12)}
+            {PI_SQUARED_ATOM: Fraction(-1, 12)}
         )
 
     def test_product_of_logs_not_split(self):
@@ -142,13 +139,13 @@ class TestCanonical:
             for _ in range(rng.randint(0, 6)):
                 kind = rng.randrange(6)
                 if kind == 0:
-                    atom = Unit()
+                    atom = UNIT
                 elif kind == 1:
-                    atom = PiSquared()
+                    atom = PI_SQUARED_ATOM
                 elif kind == 2:
                     atom = Log(rng.choice(qs))
                 elif kind == 3:
-                    atom = LogPow(rng.choice(qs), rng.randint(1, 4))
+                    atom = Log(rng.choice(qs), rng.randint(1, 4))
                 elif kind == 4:
                     atom = LogProd(rng.choice(qs), rng.choice(qs))
                 else:
@@ -166,10 +163,10 @@ class TestCanonical:
 
 class TestArithmetic:
     def test_evalf_frozen_examples(self):
-        assert ClosedForm({PiSquared(): Fraction(-1, 12)}).evalf() == pytest.approx(
+        assert ClosedForm({PI_SQUARED_ATOM: Fraction(-1, 12)}).evalf() == pytest.approx(
             -0.8224670334241132, abs=1e-15
         )
-        cf = ClosedForm({Log(Fraction(2)): Fraction(1), Unit(): Fraction(-1)})
+        cf = ClosedForm({Log(Fraction(2)): Fraction(1), UNIT: Fraction(-1)})
         assert cf.evalf() == pytest.approx(-0.3068528194400547, abs=1e-15)
 
     def test_evalf_of_zero(self):
@@ -178,10 +175,10 @@ class TestArithmetic:
     @pytest.mark.parametrize(
         "terms",
         [
-            {Unit(): Fraction(10**400)},  # the coefficient itself
+            {UNIT: Fraction(10**400)},  # the coefficient itself
             {Log(Fraction(10**300)): Fraction(10**307)},  # coefficient times atom
-            {Unit(): Fraction(10**308), PiSquared(): Fraction(10**308)},  # the sum
-            {LogPow(Fraction(10**10), 400): Fraction(1)},  # the atom's value
+            {UNIT: Fraction(10**308), PI_SQUARED_ATOM: Fraction(10**308)},  # the sum
+            {Log(Fraction(10**10), 400): Fraction(1)},  # the atom's value
             {Dilog(Fraction(-(10**400))): Fraction(1)},  # the dilog argument
         ],
     )
@@ -208,7 +205,7 @@ class TestArithmetic:
             cf / 0
 
     def test_neg(self):
-        cf = ClosedForm({Unit(): Fraction(2)})
+        cf = ClosedForm({UNIT: Fraction(2)})
         assert -cf + cf == ClosedForm.zero()
 
     def test_constant_helper(self):
@@ -217,11 +214,11 @@ class TestArithmetic:
     @staticmethod
     def _random_form(rng):
         atoms = [
-            Unit(),
-            PiSquared(),
+            UNIT,
+            PI_SQUARED_ATOM,
             Log(Fraction(2)),
             Log(Fraction(3, 2)),
-            LogPow(Fraction(2), 2),
+            Log(Fraction(2), 2),
             LogProd(Fraction(2), Fraction(3)),
             Dilog(Fraction(-1, 2)),
         ]
@@ -252,7 +249,33 @@ class TestSerialization:
         with pytest.raises(ValueError):
             atom_from_json_dict({"kind": "hyperlog", "arg": "2"})
 
+    # The reader takes only what the writer emits: fraction strings for
+    # arguments and coefficients, and an int for a power.
+
+    def test_fractional_power_rejected(self):
+        with pytest.raises(ValueError, match="power"):
+            atom_from_json_dict({"kind": "logpow", "arg": "2", "power": 1.7})
+
+    def test_boolean_power_rejected(self):
+        with pytest.raises(ValueError, match="power"):
+            atom_from_json_dict({"kind": "logpow", "arg": "2", "power": True})
+
+    def test_numeric_argument_rejected(self):
+        # 0.1 as a JSON number is a float, 3602879701896397/36028797018963968.
+        with pytest.raises(ValueError, match="fraction string"):
+            atom_from_json_dict({"kind": "log", "arg": 0.1})
+
+    def test_numeric_coefficient_rejected(self):
+        blob = json.dumps({"terms": [{"atom": {"kind": "unit"}, "coeff": 0.1}]})
+        with pytest.raises(ValueError, match="fraction string"):
+            ClosedForm.from_json(blob)
+
+    def test_kind_must_match_its_shape(self):
+        # (ln 2)^1 is written as a "log", never as a "logpow".
+        with pytest.raises(ValueError, match="logpow"):
+            atom_from_json_dict({"kind": "logpow", "arg": "2", "power": 1})
+
     def test_str_rendering(self):
-        cf = ClosedForm({PiSquared(): Fraction(-1, 12)})
+        cf = ClosedForm({PI_SQUARED_ATOM: Fraction(-1, 12)})
         assert "pi^2" in str(cf)
         assert str(ClosedForm.zero()) == "0"

@@ -21,11 +21,11 @@ from logint import (
     Log,
     LogProd,
     NonRationalPole,
-    PiSquared,
+    PI_SQUARED_ATOM,
     PoleCollision,
     PoleInInterval,
     Polynomial,
-    Unit,
+    UNIT,
     UnsupportedLogPower,
     UnsupportedPole,
     integrate_monomial_log,
@@ -48,14 +48,14 @@ PI2_12 = 0.8224670334241132  # pi^2 / 12
 
 class TestMonomialLog:
     def test_log_over_unit_interval(self):
-        assert integrate_monomial_log(0, 1, 1) == ClosedForm({Unit(): F(-1)})
+        assert integrate_monomial_log(0, 1, 1) == ClosedForm({UNIT: F(-1)})
 
     def test_x_log_squared(self):
         # int_0^1 x ln^2 x dx = 2!/2^3
-        assert integrate_monomial_log(1, 2, 1) == ClosedForm({Unit(): F(1, 4)})
+        assert integrate_monomial_log(1, 2, 1) == ClosedForm({UNIT: F(1, 4)})
 
     def test_plain_length(self):
-        assert integrate_monomial_log(0, 0, 5) == ClosedForm({Unit(): F(5)})
+        assert integrate_monomial_log(0, 0, 5) == ClosedForm({UNIT: F(5)})
 
     def test_against_oracle(self):
         rng = random.Random(11)
@@ -81,19 +81,19 @@ class TestMonomialLog:
 class TestPolyLog:
     def test_matches_monomial(self):
         assert integrate_poly_log(Polynomial((1,)), 1, 1) == ClosedForm(
-            {Unit(): F(-1)}
+            {UNIT: F(-1)}
         )
 
     def test_x_against_antiderivative(self):
         # int_0^2 x ln x dx = 2 ln 2 - 1  (x^2/2 ln x - x^2/4)
         got = integrate_poly_log(Polynomial.x(), 2, 1)
-        assert got == ClosedForm({Log(F(2)): F(2), Unit(): F(-1)})
+        assert got == ClosedForm({Log(F(2)): F(2), UNIT: F(-1)})
         assert got.evalf() == pytest.approx(0.3862943611198906, abs=1e-14)
 
     def test_square_log_of_linear(self):
         # int_0^1 (1 + x) ln^2 x dx = 2 + 1/4
         got = integrate_poly_log(Polynomial((1, 1)), 1, 2)
-        assert got == ClosedForm({Unit(): F(9, 4)})
+        assert got == ClosedForm({UNIT: F(9, 4)})
 
     def test_zero_polynomial(self):
         assert integrate_poly_log(Polynomial(), 3, 1) == ClosedForm.zero()
@@ -116,14 +116,14 @@ class TestSimplePole:
     def test_unit_case(self):
         # int_0^1 ln x/(x+1) dx = -pi^2/12
         got = integrate_simple_pole(1, 1)
-        assert got == ClosedForm({PiSquared(): F(-1, 12)})
+        assert got == ClosedForm({PI_SQUARED_ATOM: F(-1, 12)})
         assert got.evalf() == pytest.approx(-PI2_12, abs=1e-14)
 
     @pytest.mark.parametrize("b", [F(1, 2), F(2), F(10)])
     def test_matched_pole_golden(self, b):
         # int_0^b ln x/(x+b) dx = ln 2 ln b - pi^2/12
         got = integrate_simple_pole(b, b)
-        expected = ClosedForm({LogProd(F(2), b): F(1), PiSquared(): F(-1, 12)})
+        expected = ClosedForm({LogProd(F(2), b): F(1), PI_SQUARED_ATOM: F(-1, 12)})
         assert got == expected
         assert got.evalf() == pytest.approx(
             math.log(2) * math.log(b) - PI2_12, abs=1e-13
@@ -166,7 +166,7 @@ class TestTwoSimplePoles:
     def test_zero_based_case(self):
         # int_0^1 ln x/((x+1)(x+2)) dx = -pi^2/12 - Li2(-1/2)
         got = integrate_two_simple_poles(0, 1, 1, 2)
-        expected = ClosedForm({PiSquared(): F(-1, 12), Dilog(F(-1, 2)): F(-1)})
+        expected = ClosedForm({PI_SQUARED_ATOM: F(-1, 12), Dilog(F(-1, 2)): F(-1)})
         assert got == expected
         assert got.evalf() == pytest.approx(-0.374052826500467, abs=1e-13)
 
@@ -245,11 +245,11 @@ class TestUnitPoleIntegral:
 
     def test_recurrence_steps(self):
         got3 = unit_pole_log_integral(3, 1)
-        assert got3 == ClosedForm({Log(F(2)): F(-1, 2), Unit(): F(-1, 4)})
+        assert got3 == ClosedForm({Log(F(2)): F(-1, 2), UNIT: F(-1, 4)})
         assert got3.evalf() == pytest.approx(-0.5965735902799727, abs=1e-14)
 
         got4 = unit_pole_log_integral(4, 1)
-        assert got4 == ClosedForm({Log(F(2)): F(-1, 3), Unit(): F(-7, 24)})
+        assert got4 == ClosedForm({Log(F(2)): F(-1, 3), UNIT: F(-7, 24)})
         assert got4.evalf() == pytest.approx(-0.5227157268533151, abs=1e-14)
 
     def test_against_oracle(self):
@@ -405,7 +405,7 @@ class TestDriver:
             upper=F(1),
         )
         got = integrate_rational_log(spec)
-        assert got == ClosedForm({Unit(): F(3, 4), PiSquared(): F(-1, 6)})
+        assert got == ClosedForm({UNIT: F(3, 4), PI_SQUARED_ATOM: F(-1, 6)})
         assert got.evalf() == pytest.approx(-0.8949340668482264, abs=1e-13)
 
     def test_factored_denominator_input(self):
@@ -432,7 +432,7 @@ class TestDriver:
             log_power=3,
         )
         # int_0^1 x^2 ln^3 x dx / 2 = (1/2)(-3!/3^4) = -1/27
-        assert integrate_rational_log(spec) == ClosedForm({Unit(): F(-1, 27)})
+        assert integrate_rational_log(spec) == ClosedForm({UNIT: F(-1, 27)})
 
         with pytest.raises(UnsupportedLogPower):
             integrate_rational_log(

@@ -119,6 +119,39 @@ class TestFailureModes:
         res = quad_log(rational(ONE, Polynomial((-4, 1))), 1, 2)
         assert res.converged
 
+    # The pole margin is relative to each endpoint, so an infinite upper
+    # limit does not swallow every pole below the interval.
+    def test_double_pole_below_an_infinite_interval(self):
+        # int_0^inf ln x / (x+1)^2 dx = 0
+        res = quad_log(rational(ONE, Polynomial((1, 2, 1))), 0, math.inf)
+        assert res.converged
+        assert res.value == pytest.approx(0.0, abs=1e-10)
+
+    def test_two_poles_below_an_infinite_interval(self):
+        # int_0^inf ln x / ((x+1)(x+2)) dx = ln(2)^2 / 2
+        res = quad_log(rational(ONE, Polynomial((2, 3, 1))), 0, math.inf)
+        assert res.converged
+        assert res.value == pytest.approx(math.log(2) ** 2 / 2, abs=1e-10)
+
+    def test_pole_at_the_lower_endpoint_of_an_infinite_interval(self):
+        with pytest.raises(SingularInterior):
+            quad_log(rational(ONE, Polynomial((-1, 1))), 1, math.inf)
+
+    # Exact values beyond float range are a domain error, not an
+    # OverflowError from the float conversion.
+    @pytest.mark.parametrize(
+        "num, den",
+        [(ONE, Polynomial((1, 10**400))), (Polynomial((10**400,)), Polynomial((1, 1)))],
+        ids=["denominator", "numerator"],
+    )
+    def test_coefficient_beyond_float_range(self, num, den):
+        with pytest.raises(DomainError, match="beyond floating-point range"):
+            quad_log(rational(num, den), 1, 2)
+
+    def test_bound_beyond_float_range(self):
+        with pytest.raises(DomainError, match="beyond floating-point range"):
+            quad_log(rational(ONE, Polynomial((1, 1))), 1, F(10**400))
+
     def test_budget_exhaustion(self):
         with pytest.raises(NoConvergence):
             quad_log(rational(ONE, Polynomial((F(1, 2), 1))), 0, 1, max_evals=50)
