@@ -205,13 +205,23 @@ def _reduce(atom: Atom, c: Fraction) -> Optional[tuple[Atom, Fraction]]:
     return _make(pi2, logs, d), c
 
 
+def _read_object(value, what: str) -> Mapping:
+    # A malformed document is a ValueError, like a malformed field.
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _read_fraction(d: Mapping, key: str) -> Fraction:
     # Only the fraction strings the writer emits: a JSON number would
     # arrive as a float, which is not exact.
     text = d.get(key)
     if not isinstance(text, str):
         raise ValueError(f"{key!r} must be a fraction string, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{key!r} has a zero denominator: {text!r}") from None
 
 
 def _read_power(d: Mapping, key: str) -> int:
@@ -223,6 +233,7 @@ def _read_power(d: Mapping, key: str) -> int:
 
 def atom_from_json_dict(d: Mapping) -> Atom:
     """The atom whose ``to_json_dict`` is ``d``."""
+    d = _read_object(d, "an atom")
     for kind, (name, pi2, fields, dilog_field) in enumerate(_KINDS):
         if name == d.get("kind"):
             break
@@ -389,9 +400,13 @@ class ClosedForm:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ClosedForm":
+        entries = _read_object(data, "a closed form").get("terms")
+        if not isinstance(entries, list):
+            raise ValueError(f"'terms' must be a list, got {entries!r}")
         terms = []
-        for entry in data["terms"]:
-            atom = atom_from_json_dict(entry["atom"])
+        for entry in entries:
+            entry = _read_object(entry, "a term")
+            atom = atom_from_json_dict(entry.get("atom"))
             terms.append((atom, _read_fraction(entry, "coeff")))
         return cls(terms)
 

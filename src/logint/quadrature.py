@@ -33,7 +33,7 @@ from .errors import DomainError, NoConvergence, SingularInterior, ZeroDenominato
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadResult:
     value: float
     abs_error_estimate: float

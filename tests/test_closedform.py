@@ -275,6 +275,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="logpow"):
             atom_from_json_dict({"kind": "logpow", "arg": "2", "power": 1})
 
+    # A malformed document is a ValueError, whatever its shape.
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            "{}",
+            "[]",
+            '{"terms": 3}',
+            '{"terms": [3]}',
+            '{"terms": [{"coeff": "1"}]}',
+            '{"terms": [{"atom": [], "coeff": "1"}]}',
+            '{"terms": [{"atom": {"kind": "unit"}, "coeff": "1/0"}]}',
+        ],
+        ids=["empty-object", "list", "terms-not-list", "term-not-object",
+             "term-without-atom", "atom-not-object", "zero-denominator"],
+    )
+    def test_malformed_document_rejected(self, blob):
+        with pytest.raises(ValueError):
+            ClosedForm.from_json(blob)
+
     def test_str_rendering(self):
         cf = ClosedForm({PI_SQUARED_ATOM: Fraction(-1, 12)})
         assert "pi^2" in str(cf)

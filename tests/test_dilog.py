@@ -3,10 +3,11 @@
 The reference values below were computed with mpmath at 50 digits and
 frozen; the grid comparisons recompute the reference on the fly so the
 kernel is checked against an implementation that shares none of its
-code (mpmath uses its own transformations, not this series/inversion
-pair).
+code (mpmath uses its own transformations, not this series, Landen and
+inversion set).
 """
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -65,12 +66,12 @@ class TestPointValues:
 
 
 class TestErrorEstimate:
-    # Arguments within ~1e-4 of -1 are excluded: there the series hits
-    # its term cap and the (honest) reported tail is larger than the
-    # bound asserted here.  The exact point -1 is special-cased.
+    NEAR_MINUS_ONE = [1e-4, 1e-6, 1e-9, 1e-12]
     GRID = (
         [-(10.0**e) for e in range(-6, 7)]
         + [-0.999, -0.9, -0.75, -0.5, -0.25, -1.001, -1.5, -2.0, -8.0]
+        + [-1.0 + d for d in NEAR_MINUS_ONE]
+        + [-1.0 - d for d in NEAR_MINUS_ONE]
         + [-1.0, 0.1, 0.25, 0.4, 0.5]
     )
 
@@ -87,10 +88,49 @@ class TestErrorEstimate:
         assert abs(res.value - mp_dilog(x)) <= res.est_error + slack
 
 
+class TestRoutes:
+    def test_series_argument_stays_within_half(self, monkeypatch):
+        # Every route ends in the power series at a ratio of at most 1/2:
+        # 2,000 points from -1e6 up to 1/2, 400 of them within 0.1 of -1.
+        module = importlib.import_module("logint.dilog")
+        series = module._series
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return series(x)
+
+        monkeypatch.setattr(module, "_series", recording)
+        xs = [-(10.0 ** (6.0 - 12.0 * i / 1199.0)) for i in range(1200)]
+        xs += [-1.0 + s * 10.0 ** (-1.0 - 11.0 * i / 199.0) for s in (1, -1) for i in range(200)]
+        xs += [-2.0 + 2.5 * i / 399.0 for i in range(400)]
+        for x in xs:
+            seen.clear()
+            dilog(x)
+            assert seen and all(-0.5 <= y <= 0.5 for y in seen), (x, seen)
+
+    def test_landen_and_inversion_regions_are_honest(self):
+        # 2,001 points across [-2, -1/2]: Landen's identity on [-1, -1/2),
+        # inversion then Landen on (-2, -1).
+        for i in range(2001):
+            x = -2.0 + 1.5 * i / 2000.0
+            res = dilog(x)
+            slack = 2.3e-16 * max(1.0, abs(res.value))  # reference rounding
+            assert abs(res.value - mp_dilog(x)) <= res.est_error + slack, x
+
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310, -1e-310])
+    def test_subnormal_argument(self, x):
+        # The series has no term cap: it must stop here although its
+        # relative cutoff, 1e-17 |x|, underflows to 0.
+        res = dilog(x)
+        assert res.value == x
+        assert res.est_error <= 1e-14 * abs(x)
+
+
 class TestGridAgreement:
     def test_series_region_against_reference(self):
-        # 101 points across [-1, -1/2], where the series converges but
-        # slowly enough to be worth pinning against independent code.
+        # 101 points across [-1, -1/2], the Landen route, pinned against
+        # independent code.
         for i in range(101):
             x = -1.0 + 0.5 * i / 100.0
             assert abs(dilog(x).value - mp_dilog(x)) <= 1e-13
