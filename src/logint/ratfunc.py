@@ -10,6 +10,14 @@ decomposition of P/Q is
 computed entirely over the rationals: the polynomial part by exact long
 division, the residues by a Taylor expansion of the remainder around
 each pole followed by a truncated power-series division.
+
+An expanded denominator is split into its rational linear factors first
+(`rational_roots_factorize`), in integer arithmetic on the primitive
+integer multiple f of q.  Candidates p/s come from the rational root
+theorem, and a candidate is dropped unless (s - p) | f(1) and
+(s + p) | f(-1).  A survivor is confirmed by an integer sum and divided
+out of f by integral synthetic division.  Roots are returned with 0
+first, then in ascending order.
 """
 
 from __future__ import annotations
@@ -76,16 +84,51 @@ class FactoredDenominator:
 
 
 def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, in ascending order.
+
+    They are built from the prime factorization of |n|, found by trial
+    division that stops at the square root of the cofactor still left,
+    so a smooth n is quick however large it is.  An n with a large
+    prime factor still costs up to its square root in divisions.
+    """
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            powers = [1]
+            while n % p == 0:
+                n //= p
+                powers.append(powers[-1] * p)
+            divs = [d * e for d in divs for e in powers]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
+
+
+def _vanishes_at(f: list[int], p: int, s: int) -> bool:
+    """Whether p/s is a root of f (ascending integer coefficients), from
+    the integer sum  sum_k f_k p^k s^(n-k) = s^n f(p/s)."""
+    acc, s_pow = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * s_pow
+        s_pow *= s
+    return acc == 0
+
+
+def _deflate(f: list[int], p: int, s: int) -> list[int]:
+    """f / (s x - p) for a root p/s of f in lowest terms, by synthetic
+    division.
+
+    Gauss's lemma: (s x - p) is primitive and divides f over Q, so the
+    quotient has integer coefficients and every division is exact.
+    """
+    g = [0] * (len(f) - 1)
+    g[-1] = f[-1] // s
+    for k in range(len(g) - 1, 0, -1):
+        g[k - 1] = (f[k] + p * g[k]) // s
+    return g
 
 
 def rational_roots_factorize(
@@ -98,45 +141,59 @@ def rational_roots_factorize(
 
         q == remainder * prod (x - root)^mult .
 
-    Uses the rational root theorem on an integer-scaled copy of q; each
-    confirmed root is divided out exactly before the next is tried.
+    The root 0 comes first, as a power of x stripped off q; the nonzero
+    roots follow in ascending order.  The search runs on the primitive
+    integer multiple f of what is left, in integers only.  By the
+    rational root theorem a root is p/s in lowest terms with p | f(0)
+    and s | lead(f); such a candidate survives only when (s - p) | f(1)
+    and (s + p) | f(-1), since f = (s x - p) g with g integral.  A
+    survivor is confirmed by the integer sum  sum_k f_k p^k s^(n-k) = 0
+    and divided out of f by synthetic division, as often as it divides.
+    The remainder is the exact rational multiple of the final integer
+    cofactor whose leading coefficient is lead(q).
     """
     if q.is_zero:
         raise ZeroDenominator("cannot factor the zero polynomial")
 
-    roots: list[tuple[Fraction, int]] = []
-    current = q
-
-    # Strip powers of x first: root at zero.
+    coeffs = q.coeffs
     k = 0
-    while current.degree >= 1 and current.coeff(0) == 0:
-        current = Polynomial(current.coeffs[1:])
+    while coeffs[k] == 0:
         k += 1
-    if k:
-        roots.append((Fraction(0), k))
+    coeffs = coeffs[k:]
 
-    if current.degree >= 1:
-        scale = math.lcm(*(c.denominator for c in current.coeffs))
-        ints = [int(c * scale) for c in current.coeffs]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        num_divs = _divisors(ints[0])
-        den_divs = _divisors(ints[-1])
-        candidates = sorted(
-            {Fraction(s * p, qd) for p in num_divs for qd in den_divs for s in (1, -1)}
-        )
-        for cand in candidates:
-            mult = 0
-            while current.degree >= 1 and current(cand) == 0:
-                current, rem = divmod(current, Polynomial((-cand, 1)))
-                assert rem.is_zero
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-            if current.degree < 1:
-                break
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    f = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = math.gcd(*f)
+    f = [c // content for c in f]
 
-    return roots, current
+    lead_divs = _divisors(f[-1])
+    candidates = (
+        (p, s)
+        for p_abs in _divisors(f[0])
+        for s in lead_divs
+        if math.gcd(p_abs, s) == 1
+        for p in (p_abs, -p_abs)
+    )
+    found: list[tuple[Fraction, int]] = []
+    f1, fm1 = sum(f), sum(f[0::2]) - sum(f[1::2])  # f(1), f(-1)
+    for p, s in candidates:
+        if len(f) == 1:
+            break
+        # s - p == 0 (the root 1) or s + p == 0 (the root -1): no test.
+        if (s - p and f1 % (s - p)) or (s + p and fm1 % (s + p)):
+            continue
+        mult = 0
+        while len(f) > 1 and _vanishes_at(f, p, s):
+            f = _deflate(f, p, s)
+            mult += 1
+        if mult:
+            found.append((Fraction(p, s), mult))
+            f1, fm1 = sum(f), sum(f[0::2]) - sum(f[1::2])
+
+    found.sort()
+    roots = ([(Fraction(0), k)] if k else []) + found
+    ratio = coeffs[-1] / f[-1]
+    return roots, Polynomial([ratio * c for c in f])
 
 
 def factor_denominator(q: Polynomial) -> FactoredDenominator:

@@ -113,6 +113,17 @@ class TestIntegrate:
         assert code == 2
         assert "error:" in err
 
+    def test_rational_root_leaves_its_cofactor_with_the_constant(self, capsys):
+        # 6x^3 + 3x^2 - 12x - 6 = (x + 1/2) * (6x^2 - 12): the factor
+        # reported keeps the leading coefficient of the input.
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--num", "1", "--den", "6x^3+3x^2-12x-6",
+            "--lower", "1", "--upper", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: denominator factor 6*x^2 - 12 has no rational root\n"
+
     # Exact results whose float value is out of range: a domain error,
     # not an OverflowError traceback.
     def test_coefficient_beyond_float_range_exits_2(self, capsys):

@@ -1,5 +1,10 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from logint import (
     partial_fractions,
     rational_roots_factorize,
 )
+from logint.ratfunc import _divisors
 
 
 def expand_roots(roots, remainder):
@@ -22,6 +28,44 @@ def expand_roots(roots, remainder):
     for root, mult in roots:
         q = q * Polynomial((-root, 1)) ** mult
     return q
+
+
+def fraction_scan_reference(q):
+    """The rational-root search as a scan over Fraction candidates, kept
+    as a referee for rational_roots_factorize: every candidate +-p/s from
+    the divisors of the end coefficients, in ascending order, each tried
+    by Fraction evaluation and divided out by Polynomial divmod."""
+
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return small + [abs(n) // d for d in small]
+
+    roots = []
+    current = q
+    k = 0
+    while current.degree >= 1 and current.coeff(0) == 0:
+        current = Polynomial(current.coeffs[1:])
+        k += 1
+    if k:
+        roots.append((Fraction(0), k))
+    if current.degree >= 1:
+        scale = math.lcm(*(c.denominator for c in current.coeffs))
+        ints = [int(c * scale) for c in current.coeffs]
+        g = math.gcd(*ints)
+        ints = [c // g for c in ints]
+        candidates = sorted(
+            {Fraction(sign * p, s)
+             for p in divisors(ints[0]) for s in divisors(ints[-1]) for sign in (1, -1)}
+        )
+        for cand in candidates:
+            mult = 0
+            while current.degree >= 1 and current(cand) == 0:
+                current, rem = divmod(current, Polynomial((-cand, 1)))
+                assert rem.is_zero
+                mult += 1
+            if mult:
+                roots.append((cand, mult))
+    return roots, current
 
 
 class TestRationalRoots:
@@ -62,6 +106,87 @@ class TestRationalRoots:
                 q = q * Polynomial((rng.randint(1, 5), 0, 1))  # irreducible
             roots, remainder = rational_roots_factorize(q)
             assert expand_roots(roots, remainder) == q
+
+    def test_matches_the_fraction_scan_reference(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            q = Polynomial((Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                                     rng.randint(1, 12)),))
+            for _ in range(rng.randint(0, 3)):
+                root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                q = q * Polynomial((-root, 1)) ** rng.randint(1, 3)
+            if rng.random() < 0.4:  # no real root, so irreducible over Q
+                b, c = rng.randint(-3, 3), rng.randint(1, 5)
+                q = q * Polynomial((b * b + c, b, 1))
+            roots, remainder = rational_roots_factorize(q)
+            ref_roots, ref_remainder = fraction_scan_reference(q)
+            assert roots == ref_roots, q
+            assert remainder.coeffs == ref_remainder.coeffs, q
+
+    @pytest.mark.parametrize(
+        "factors, constant, roots",
+        [
+            # Roots p/s = 1 and -1, where s - p == 0 or s + p == 0: the
+            # f(+-1) filters are vacuous.
+            (((1, 1), (-1, 1)), 1, [(Fraction(-1), 1), (Fraction(1), 1)]),
+            (((1, 2), (-1, 3)), 5, [(Fraction(-1), 3), (Fraction(1), 2)]),
+            # f(1) == 0 or f(-1) == 0 next to other roots.
+            (((1, 1), (Fraction(-3, 2), 1), (5, 1)), 2,
+             [(Fraction(-3, 2), 1), (Fraction(1), 1), (Fraction(5), 1)]),
+            (((-1, 2), (Fraction(2, 3), 1)), Fraction(-1, 4),
+             [(Fraction(-1), 2), (Fraction(2, 3), 1)]),
+            # A negative leading coefficient.
+            (((Fraction(-1, 3), 1), (2, 2)), -3, [(Fraction(-1, 3), 1), (Fraction(2), 2)]),
+            (((Fraction(-3, 7), 6),), 7 ** 6, [(Fraction(-3, 7), 6)]),
+            (((0, 3), (Fraction(5, 2), 1)), 2, [(Fraction(0), 3), (Fraction(5, 2), 1)]),
+        ],
+    )
+    def test_filter_edge_cases(self, factors, constant, roots):
+        q = Polynomial((constant,))
+        for root, mult in factors:
+            q = q * Polynomial((-Fraction(root), 1)) ** mult
+        assert rational_roots_factorize(q) == (roots, Polynomial((constant,)))
+        assert fraction_scan_reference(q) == (roots, Polynomial((constant,)))
+
+    def test_negative_leading_coefficient_keeps_its_cofactor(self):
+        # -(3x + 1)(x - 2)(x^2 + 1) = (x + 1/3)(x - 2) * (-3x^2 - 3)
+        q = (Polynomial((-1, -3)) * Polynomial((-2, 1)) * Polynomial((1, 0, 1)))
+        roots, remainder = rational_roots_factorize(q)
+        assert roots == [(Fraction(-1, 3), 1), (Fraction(2), 1)]
+        assert remainder.coeffs == (Fraction(-3), Fraction(0), Fraction(-3))
+
+    def test_constant_polynomial(self):
+        q = Polynomial((Fraction(-3, 4),))
+        assert rational_roots_factorize(q) == ([], q)
+
+    def test_divisors_match_trial_division(self):
+        for n in list(range(-60, 0)) + list(range(1, 2000)):
+            assert _divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    def test_large_smooth_constant_is_quick(self):
+        # Trial division up to sqrt(10^399) would never finish; factoring
+        # the constant takes about a second.  A fresh interpreter bounds a
+        # hang.
+        c = 10 ** 399
+        code = (
+            "import sys\n"
+            "from logint.cli import main\n"
+            "sys.exit(main(['integrate', '--num', '1', '--den', sys.argv[1],"
+            " '--lower', '1', '--upper', '2']))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, f"x+{c}"], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # int_1^2 ln x/(x + c) dx = ln 2 * ln(1 + 2/c) + Li2(-2/c) - Li2(-1/c);
+        # the float value cancels, so only the exact form is pinned.
+        h = c // 2
+        assert proc.stdout.splitlines()[0] == (
+            f"closed-form: ln({h + 1}/{h})*ln(2) + Li2(-1/{h}) - Li2(-1/{c})"
+        )
 
 
 class TestFactoredDenominator:
