@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .dilog import dilog
 from .errors import DomainError
-from .poly import Scalar, exact
+from .poly import Scalar, exact, integer_at_least, positive
 
 # One row per atom kind, in sort order: the JSON kind, the power of
 # pi^2, one (argument, power) pair of JSON field names per log factor
@@ -74,14 +74,10 @@ class Atom:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        logs = []
-        for q, k in self.logs:
-            q = exact(q, "log argument")
-            if q <= 0:
-                raise DomainError(f"log argument must be positive, got {q}")
-            if not isinstance(k, int) or k < 1:
-                raise DomainError("log power must be an integer >= 1")
-            logs.append((q, k))
+        logs = [
+            (positive(q, "log argument"), integer_at_least(k, 1, "log power"))
+            for q, k in self.logs
+        ]
         d = self.dilog
         if d is not None:
             d = exact(d, "Li2 argument")
@@ -315,9 +311,6 @@ class ClosedForm:
         return tuple(
             sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
         )
-
-    def coefficient(self, atom: Atom) -> Fraction:
-        return self._terms.get(atom, Fraction(0))
 
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(a for a, _ in self.terms())

@@ -36,12 +36,11 @@ from .closedform import (
 from .errors import (
     DegenerateInterval,
     DomainError,
-    PoleCollision,
     PoleInInterval,
     UnsupportedLogPower,
     UnsupportedPole,
 )
-from .poly import Polynomial, Scalar, exact
+from .poly import Polynomial, Scalar, exact, integer_at_least, positive
 from .ratfunc import FactoredDenominator, factor_denominator, partial_fractions
 
 
@@ -51,13 +50,9 @@ def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
     Scaling x = b t reduces to the unit interval, where
     int_0^1 t^j (ln t)^k dt = (-1)^k k! / (j+1)^(k+1).
     """
-    if not isinstance(j, int) or j < 0:
-        raise DomainError("monomial degree must be an integer >= 0")
-    if not isinstance(k, int) or k < 0:
-        raise DomainError("log power must be an integer >= 0")
-    b = exact(b, "upper limit")
-    if b <= 0:
-        raise DomainError(f"upper limit must be positive, got {b}")
+    integer_at_least(j, 0, "monomial degree")
+    integer_at_least(k, 0, "log power")
+    b = positive(b, "upper limit")
     scale = b ** (j + 1)
     terms = []
     for i in range(k + 1):
@@ -69,11 +64,8 @@ def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
 
 def integrate_poly_log(p: Polynomial, b: Scalar, m: int) -> ClosedForm:
     """int_0^b P(x) (ln x)^m dx by linearity over the monomials."""
-    b = exact(b, "upper limit")
-    if b <= 0:
-        raise DomainError(f"upper limit must be positive, got {b}")
-    if not isinstance(m, int) or m < 0:
-        raise DomainError("log power must be an integer >= 0")
+    b = positive(b, "upper limit")
+    integer_at_least(m, 0, "log power")
     return ClosedForm.combine(
         (a, integrate_monomial_log(j, m, b)) for j, a in enumerate(p.coeffs) if a
     )
@@ -81,12 +73,8 @@ def integrate_poly_log(p: Polynomial, b: Scalar, m: int) -> ClosedForm:
 
 def integrate_simple_pole(b: Scalar, r: Scalar) -> ClosedForm:
     """int_0^b ln x / (x + r) dx  =  ln b ln((b+r)/r) + Li2(-b/r)."""
-    b = exact(b, "upper limit")
-    r = exact(r, "pole parameter")
-    if b <= 0:
-        raise DomainError(f"upper limit must be positive, got {b}")
-    if r <= 0:
-        raise DomainError(f"pole parameter must be positive, got {r}")
+    b = positive(b, "upper limit")
+    r = positive(r, "pole parameter")
     return ClosedForm(((LogProd(b, (b + r) / r), 1), (Dilog(-b / r), 1)))
 
 
@@ -97,16 +85,10 @@ def integrate_two_simple_poles(
 
     The driver splits 1/((x+r1)(x+r2)) into two simple poles and takes
     the base-point difference: at most four log products and four
-    dilogarithms before they are merged.
+    dilogarithms before they are merged.  Equal poles raise
+    PoleCollision, and a pole that is not negative PoleInInterval or
+    UnsupportedPole, as for any IntegralSpec.
     """
-    a = exact(a, "lower limit")
-    b = exact(b, "upper limit")
-    r1 = exact(r1, "pole parameter")
-    r2 = exact(r2, "pole parameter")
-    if r1 <= 0 or r2 <= 0:
-        raise DomainError("pole parameters must be positive")
-    if r1 == r2:
-        raise PoleCollision(f"poles coincide at -{r1}")
     den = FactoredDenominator(1, ((r1, 1), (r2, 1)))
     return integrate_rational_log(IntegralSpec(Polynomial((1,)), den, a, b))
 
@@ -138,10 +120,6 @@ def symmetric_two_pole_dilog(a: Scalar, b: Scalar) -> ClosedForm:
     appear (and the pair at -1 collapses to a pi^2 term).  Agreement of
     the two routes is a nontrivial identity between log products and
     dilogarithms."""
-    a = exact(a, "lower limit")
-    b = exact(b, "upper limit")
-    if a <= 0:
-        raise DomainError(f"need 0 < a < b, got a = {a}")
     return integrate_two_simple_poles(a, b, a, b)
 
 
@@ -154,11 +132,8 @@ def unit_pole_log_integral(n: int, b: Scalar) -> ClosedForm:
         h_n = (n-2)/(n-1) h_{n-1} + b ln b / ((n-1)(1+b)^(n-1))
               - ((1+b)^(n-2) - 1) / ((n-1)(n-2)(1+b)^(n-2)).
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("pole order must be an integer >= 2")
-    b = exact(b, "upper limit")
-    if b <= 0:
-        raise DomainError(f"upper limit must be positive, got {b}")
+    integer_at_least(n, 2, "pole order")
+    b = positive(b, "upper limit")
     one_plus = 1 + b
     log_b = Fraction(b, one_plus)  # coefficient of ln b
     log_1p = Fraction(-1)  # coefficient of ln(1+b)
@@ -181,12 +156,9 @@ def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
         f_n(b, r) = ln r / ((n-1) r^(n-1)) * (1 - (r/(b+r))^(n-1))
                     + h_n(b/r) / r^(n-1).
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("pole order must be an integer >= 2")
-    b = exact(b, "upper limit")
-    r = exact(r, "pole parameter")
-    if b <= 0 or r <= 0:
-        raise DomainError("upper limit and pole parameter must be positive")
+    integer_at_least(n, 2, "pole order")
+    b = positive(b, "upper limit")
+    r = positive(r, "pole parameter")
     bracket = 1 - Fraction(r, b + r) ** (n - 1)
     scale = Fraction(1, r ** (n - 1))
     h = unit_pole_log_integral(n, Fraction(b, r))
@@ -219,8 +191,7 @@ def unit_pole_log_parts(n: int) -> LogIntegralParts:
 
         X_n = ((1+b)^(n-1) - 1) / (n-1),    Y_n = -(1+b)^(n-1) / (n-1).
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("pole order must be an integer >= 2")
+    integer_at_least(n, 2, "pole order")
     bpoly = Polynomial.x()
     one_plus = Polynomial((1, 1))
     x_part = bpoly
@@ -261,8 +232,7 @@ class IntegralSpec:
             raise DegenerateInterval(f"empty interval [{lower}, {upper}]")
         if upper < lower:
             raise DomainError(f"limits out of order: [{lower}, {upper}]")
-        if not isinstance(self.log_power, int) or self.log_power < 1:
-            raise DomainError("log_power must be an integer >= 1")
+        integer_at_least(self.log_power, 1, "log_power")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .errors import DomainError
+
 Scalar = Union[int, Fraction]
 
 
@@ -21,6 +23,21 @@ def exact(value: Scalar, what: str) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact (int or Fraction), got float")
     return Fraction(value)
+
+
+def positive(value: Scalar, what: str) -> Fraction:
+    """``value`` as a Fraction that must be > 0 (DomainError if not)."""
+    value = exact(value, what)
+    if value <= 0:
+        raise DomainError(f"{what} must be positive, got {value}")
+    return value
+
+
+def integer_at_least(value: int, least: int, what: str) -> int:
+    """``value``, which must be an int >= ``least`` (DomainError if not)."""
+    if not isinstance(value, int) or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}")
+    return value
 
 
 class Polynomial:

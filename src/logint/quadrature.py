@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, NoConvergence, SingularInterior, ZeroDenominator
-from .poly import Polynomial
+from .poly import Polynomial, integer_at_least
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,8 +75,7 @@ def quad_log(
         raise DomainError(
             "an integrand coefficient or a bound is beyond floating-point range"
         ) from None
-    if not isinstance(m, int) or m < 0:
-        raise DomainError("log power must be an integer >= 0")
+    integer_at_least(m, 0, "log power")
     if m > 60:
         raise DomainError("log power too large for the tail bound")
     if not (tol > 0.0):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import NonRationalPole, PoleCollision, ZeroDenominator
-from .poly import Polynomial, exact
+from .poly import Polynomial, exact, integer_at_least
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class FactoredDenominator:
         norm: list[tuple[Fraction, int]] = []
         for shift, mult in self.factors:
             shift = exact(shift, "factor shift")
-            if not isinstance(mult, int) or mult < 1:
-                raise ValueError("factor multiplicity must be a positive integer")
+            integer_at_least(mult, 1, "factor multiplicity")
             if shift in seen:
                 raise PoleCollision(f"repeated factor (x + {shift})")
             seen.add(shift)
@@ -67,20 +66,6 @@ class FactoredDenominator:
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.factors)
-
-    def __str__(self) -> str:
-        parts = []
-        if self.constant != 1 or not self.factors:
-            parts.append(str(self.constant))
-        for shift, mult in self.factors:
-            if shift == 0:
-                base = "x"
-            elif shift > 0:
-                base = f"(x + {shift})"
-            else:
-                base = f"(x - {-shift})"
-            parts.append(base if mult == 1 else f"{base}^{mult}")
-        return "".join(parts) if len(parts) == 1 else "*".join(parts)
 
 
 def _divisors(n: int) -> list[int]:

@@ -20,18 +20,17 @@ sequence stays unimodal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .poly import Polynomial
+from .poly import Polynomial, integer_at_least
 
 
 def family_poly(n: int) -> Polynomial:
     """t_n for n >= 2 (t_2 = 0, first nonzero at n = 3)."""
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("family index must be an integer >= 2")
+    integer_at_least(n, 2, "family index")
     one_plus = Polynomial((1, 1))
     t = Polynomial()
     for k in range(3, n + 1):
@@ -44,8 +43,7 @@ def family_poly(n: int) -> Polynomial:
 def shifted_family_poly(n: int) -> Polynomial:
     """s_n = t_n composed with b -> b - 1, for n >= 3, by its own
     recurrence (s_3 = 1)."""
-    if not isinstance(n, int) or n < 3:
-        raise DomainError("shifted family index must be an integer >= 3")
+    integer_at_least(n, 3, "shifted family index")
     b = Polynomial.x()
     s = Polynomial((1,))
     for k in range(4, n + 1):
@@ -100,17 +98,7 @@ class CoeffReport:
     peak: Optional[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family,
-            "coeffs": [str(c) for c in self.coeffs],
-            "degree": self.degree,
-            "all_nonneg_integers": self.all_nonneg_integers,
-            "nondecreasing": self.nondecreasing,
-            "first_decrease": self.first_decrease,
-            "unimodal": self.unimodal,
-            "peak": self.peak,
-        }
+        return {**asdict(self), "coeffs": [str(c) for c in self.coeffs]}
 
 
 def coeff_report(n: int, family: str = "shifted") -> CoeffReport:

@@ -3,13 +3,31 @@ from fractions import Fraction
 
 import pytest
 
-from logint import Polynomial
+from logint import DomainError, Polynomial
+from logint.poly import integer_at_least, positive
 
 
 def test_trailing_zeros_are_stripped():
     assert Polynomial((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
     assert Polynomial((0,)).coeffs == ()
     assert Polynomial().degree == -1
+
+
+def test_positive():
+    assert positive(3, "bound") == Fraction(3)
+    assert positive(Fraction(1, 7), "bound") == Fraction(1, 7)
+    for bad in (0, Fraction(-1, 2)):
+        with pytest.raises(DomainError, match=f"bound must be positive, got {bad}$"):
+            positive(bad, "bound")
+    with pytest.raises(TypeError, match="bound must be exact"):
+        positive(0.5, "bound")
+
+
+def test_integer_at_least():
+    assert integer_at_least(2, 2, "index") == 2
+    for bad in (1, -5, 2.0, Fraction(3), "3", None):
+        with pytest.raises(DomainError, match="index must be an integer >= 2$"):
+            integer_at_least(bad, 2, "index")
 
 
 def test_zero_polynomial_is_falsy():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from logint import (
+    DomainError,
     FactoredDenominator,
     FactoredRationalFunction,
     NonRationalPole,
@@ -208,6 +209,11 @@ class TestFactoredDenominator:
             )
         with pytest.raises(ValueError):
             FactoredDenominator(constant=Fraction(1), factors=((Fraction(1), 0),))
+
+    @pytest.mark.parametrize("mult", [0, -1, 1.0, Fraction(2)])
+    def test_bad_multiplicity_is_a_domain_error(self, mult):
+        with pytest.raises(DomainError, match="factor multiplicity must be an integer >= 1"):
+            FactoredDenominator(constant=1, factors=((Fraction(1), mult),))
 
     def test_rejects_floats(self):
         # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10:
