@@ -7,7 +7,8 @@ quantities needed are
     int_0^b x^j (ln x)^k dx           = (-1)^k k! b^(j+1) / (j+1)^(k+1)
                                         ... binomially shifted by ln b,
     int_0^b ln x / (x + r) dx         = ln b ln((b+r)/r) + Li2(-b/r),
-    int_0^b ln x / (x + r)^n dx       via a first-order recurrence in n.
+    int_0^b ln x / (x + r)^n dx       via h_n(b/r), the closed form of
+                                        int_0^b ln t / (1 + t)^n dt.
 
 All arithmetic on coefficients is exact; results are ClosedForm values
 whose atoms are the products 1, pi^2, ln q, (ln q)^k, ln q1 ln q2 and
@@ -101,10 +102,8 @@ def symmetric_two_pole_elementary(a: Scalar, b: Scalar) -> ClosedForm:
 
         ln(ab) / (2(b-a)) * ln((a+b)^2 / (4ab)).
     """
-    a = exact(a, "lower limit")
+    a = positive(a, "lower limit")
     b = exact(b, "upper limit")
-    if a <= 0:
-        raise DomainError(f"need 0 < a < b, got a = {a}")
     if a == b:
         raise DegenerateInterval(f"empty interval [{a}, {b}]")
     if b < a:
@@ -124,28 +123,26 @@ def symmetric_two_pole_dilog(a: Scalar, b: Scalar) -> ClosedForm:
 
 
 def unit_pole_log_integral(n: int, b: Scalar) -> ClosedForm:
-    """h_n(b) = int_0^b ln t / (1 + t)^n dt for n >= 2.
+    """h_n(b) = int_0^b ln t / (1 + t)^n dt for n >= 2, in closed form.
 
-    Base case  h_2(b) = b/(1+b) ln b - ln(1+b);  one integration by
-    parts per step raises the pole order:
+    One integration by parts, with (1 - y^(n-1))/t = sum_{k=1}^{n-1}
+    (1+t)^(-k) and y = 1/(1+b), gives
 
-        h_n = (n-2)/(n-1) h_{n-1} + b ln b / ((n-1)(1+b)^(n-1))
-              - ((1+b)^(n-2) - 1) / ((n-1)(n-2)(1+b)^(n-2)).
+        h_n(b) = [ (1 - y^(n-1)) ln b - ln(1+b)
+                   - sum_{k=1}^{n-2} (1 - y^k)/k ] / (n-1).
     """
     integer_at_least(n, 2, "pole order")
     b = positive(b, "upper limit")
-    one_plus = 1 + b
-    log_b = Fraction(b, one_plus)  # coefficient of ln b
-    log_1p = Fraction(-1)  # coefficient of ln(1+b)
+    y = 1 / (1 + b)
+    y_k = Fraction(1)
     rest = Fraction(0)
-    for k in range(3, n + 1):
-        step = Fraction(k - 2, k - 1)
-        log_b = step * log_b + Fraction(b, (k - 1) * one_plus ** (k - 1))
-        log_1p = step * log_1p
-        rest = step * rest - Fraction(
-            one_plus ** (k - 2) - 1, (k - 1) * (k - 2) * one_plus ** (k - 2)
-        )
-    return ClosedForm(((Log(b), log_b), (Log(one_plus), log_1p), (UNIT, rest)))
+    for k in range(1, n - 1):
+        y_k *= y
+        rest -= (1 - y_k) / k
+    scale = Fraction(1, n - 1)
+    return ClosedForm(
+        ((Log(b), (1 - y_k * y) * scale), (Log(1 + b), -scale), (UNIT, rest * scale))
+    )
 
 
 def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
@@ -186,8 +183,15 @@ class LogIntegralParts:
 def unit_pole_log_parts(n: int) -> LogIntegralParts:
     """Polynomial coefficients of (1+b)^(n-1) h_n(b), n >= 2.
 
-    Runs the same recurrence as unit_pole_log_integral but with b left
-    symbolic, then checks the two parts that admit closed forms:
+    The independent referee of unit_pole_log_integral: it does not use
+    that closed form, but raises the pole order one integration by parts
+    at a time,
+
+        h_n = (n-2)/(n-1) h_{n-1} + b ln b / ((n-1)(1+b)^(n-1))
+              - ((1+b)^(n-2) - 1) / ((n-1)(n-2)(1+b)^(n-2)),
+
+    from h_2(b) = b/(1+b) ln b - ln(1+b), with b left symbolic.  It
+    then checks the two parts that admit closed forms:
 
         X_n = ((1+b)^(n-1) - 1) / (n-1),    Y_n = -(1+b)^(n-1) / (n-1).
     """

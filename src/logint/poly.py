@@ -175,13 +175,8 @@ class Polynomial:
         rem = list(self._coeffs)
         d = other.degree
         lead = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
+        for shift in reversed(range(len(quotient))):
+            factor = rem[shift + d] / lead
             quotient[shift] = factor
             for k in range(d + 1):
                 rem[shift + k] -= factor * other._coeffs[k]

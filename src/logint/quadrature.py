@@ -147,10 +147,7 @@ def quad_log(
         if b > 1.0:
             run_piece(lambda x: f(x) * math.log(x) ** m, 1.0, b)
     else:
-        if m == 0:
-            run_piece(f, a, b)
-        else:
-            run_piece(lambda x: f(x) * math.log(x) ** m, a, b)
+        run_piece(lambda x: f(x) * math.log(x) ** m, a, b)
 
     value = math.fsum(v for v, _, _ in pieces)
     err = math.fsum(e for _, e, _ in pieces) + tail_bound

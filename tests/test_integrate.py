@@ -356,10 +356,12 @@ class TestLogIntegralParts:
                 )
 
     def test_identity_exact(self):
-        # h_n(b) reproduced exactly from the three polynomial parts.
-        for n in range(2, 13):
-            for b in (F(1, 4), F(1), F(7, 2)):
-                parts = unit_pole_log_parts(n)
+        # h_n(b) reproduced exactly from the three polynomial parts: the
+        # recurrence of unit_pole_log_parts against the closed form of
+        # unit_pole_log_integral.
+        for n in range(2, 31):
+            parts = unit_pole_log_parts(n)
+            for b in (F(1, 1000), F(1, 4), F(1), F(7, 2), F(10**6, 7)):
                 scale = 1 / ((1 + b) ** (n - 1))
                 assembled = (
                     ClosedForm({Log(1 + b): parts.log_one_plus_b(b)})
