@@ -194,6 +194,11 @@ def unit_pole_log_parts(n: int) -> LogIntegralParts:
     then checks the two parts that admit closed forms:
 
         X_n = ((1+b)^(n-1) - 1) / (n-1),    Y_n = -(1+b)^(n-1) / (n-1).
+
+    The power (1+b)^(k-1) is carried from step to step, one product by
+    (1+b) each, so the whole recurrence costs O(n^2) coefficient
+    operations.  X_n is built without it, so a wrong power still fails
+    the check.
     """
     integer_at_least(n, 2, "pole order")
     bpoly = Polynomial.x()
@@ -201,15 +206,17 @@ def unit_pole_log_parts(n: int) -> LogIntegralParts:
     x_part = bpoly
     y_part = -one_plus
     z_part = Polynomial()
+    power = one_plus  # (1+b)^(k-1)
     for k in range(3, n + 1):
         step = Fraction(k - 2, k - 1) * one_plus
+        power = power * one_plus
         x_part = step * x_part + Fraction(1, k - 1) * bpoly
         y_part = step * y_part
         z_part = step * z_part + Fraction(1, (k - 1) * (k - 2)) * (
-            one_plus - one_plus ** (k - 1)
+            one_plus - power
         )
-    expected_x = Fraction(1, n - 1) * (one_plus ** (n - 1) - 1)
-    expected_y = Fraction(-1, n - 1) * one_plus ** (n - 1)
+    expected_x = Fraction(1, n - 1) * (power - 1)
+    expected_y = Fraction(-1, n - 1) * power
     if x_part != expected_x or y_part != expected_y:
         raise AssertionError("recurrence disagrees with closed-form parts")
     return LogIntegralParts(

@@ -18,9 +18,10 @@ the cut contributes to the reported error estimate.
 
 Real poles within the integration interval, or within rounding distance
 of either endpoint, raise SingularInterior; an infinite upper limit
-counts only the poles at or above the lower one.  Coefficients or bounds
-beyond float range raise DomainError; exceeding the evaluation budget
-raises NoConvergence.
+counts only the poles at or above the lower one.  So does a quadrature
+node that lands on a pole the float root scan missed.  Coefficients or
+bounds beyond float range raise DomainError; exceeding the evaluation
+budget raises NoConvergence.
 """
 
 from __future__ import annotations
@@ -98,7 +99,14 @@ def quad_log(
             )
 
     def f(x: float) -> float:
-        return num(float(x)) / den(float(x))
+        try:
+            return num(float(x)) / den(float(x))
+        except ZeroDivisionError:
+            # A repeated root can come back from np.roots off the real
+            # axis; a node that lands on it is still a pole inside.
+            raise SingularInterior(
+                f"integrand has a pole at x = {x:.17g} inside [{a:g}, {b:g}]"
+            ) from None
 
     count = 0
 

@@ -177,6 +177,25 @@ class TestNumericOnly:
         assert code == 2
         assert "pole" in err
 
+    def test_repeated_pole_inside_exits_2_without_traceback(self, tmp_path):
+        # The float root scan misses the 4-fold root; the quadrature node
+        # at x = 3/2 must still end as a typed error, not a traceback.
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "logint.cli", "integrate", "--numeric-only",
+                "--num", "1", "--den", "(x-3/2)^4", "--lower", "1", "--upper", "3",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "error: integrand has a pole at x = 1.5 inside [1, 3]" in proc.stderr
+
     def test_overflowing_bound_is_a_parse_error(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -481,5 +500,10 @@ class TestConsoleScript:
 
     def test_python_dash_m_runs_cli(self, tmp_path):
         proc = self._run(tmp_path, "-m", "logint.cli")
+        assert proc.returncode == 0
+        assert "closed-form: -(1/12)*pi^2" in proc.stdout
+
+    def test_python_dash_m_runs_package(self, tmp_path):
+        proc = self._run(tmp_path, "-m", "logint")
         assert proc.returncode == 0
         assert "closed-form: -(1/12)*pi^2" in proc.stdout

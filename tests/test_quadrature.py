@@ -115,6 +115,14 @@ class TestFailureModes:
         with pytest.raises(SingularInterior):
             quad_log(rational(ONE, Polynomial((-2, 1))), 1, 2)
 
+    def test_repeated_pole_split_off_the_real_axis(self):
+        # np.roots returns the 4-fold root of (x - 3/2)^4 as two complex
+        # pairs, so the float root scan misses it and quadrature lands on
+        # x = 3/2 itself.  That node is a pole inside the interval.
+        den = Polynomial((F(-3, 2), 1)) ** 4
+        with pytest.raises(SingularInterior, match=r"x = 1\.5 inside \[1, 3\]"):
+            quad_log(rational(ONE, den), 1, 3)
+
     def test_pole_outside_is_fine(self):
         res = quad_log(rational(ONE, Polynomial((-4, 1))), 1, 2)
         assert res.converged
