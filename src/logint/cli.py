@@ -181,7 +181,14 @@ def _cmd_numeric_only(args: argparse.Namespace) -> int:
         print(f"value: {_fmt(result.value)}")
         print(f"error-estimate: {result.abs_error_estimate:.3g}")
         print(f"evaluations: {result.evaluations}")
-    return EXIT_OK if result.converged else EXIT_DOMAIN
+    if not result.converged:
+        print(
+            "error: oracle did not converge "
+            f"(error estimate {result.abs_error_estimate:.3g})",
+            file=sys.stderr,
+        )
+        return EXIT_DOMAIN
+    return EXIT_OK
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:

@@ -46,5 +46,5 @@ class SingularInterior(DomainError):
 
 
 class NoConvergence(RuntimeError):
-    """The numeric oracle exhausted its evaluation budget without
-    reaching the requested tolerance."""
+    """The numeric oracle could not bound the tail of its integrand at
+    the origin below the requested tolerance, so it has no value."""

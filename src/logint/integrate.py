@@ -275,9 +275,6 @@ def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
                 f"pole at x = {pole} is not on the negative axis"
             )
 
-    if spec.numerator.is_zero:
-        return ClosedForm.zero()
-
     decomp = partial_fractions(spec.numerator, den)
 
     # F(upper) - F(lower), with F(t) the integral based at 0 (F(0) = 0).

@@ -20,15 +20,15 @@ Real poles within the integration interval, or within rounding distance
 of either endpoint, raise SingularInterior; an infinite upper limit
 counts only the poles at or above the lower one.  So does a quadrature
 node that lands on a pole the float root scan missed.  Coefficients or
-bounds beyond float range raise DomainError; exceeding the evaluation
-budget raises NoConvergence.
+bounds beyond float range raise DomainError; a tail that cannot be
+bounded raises NoConvergence.  QUADPACK's subinterval limit bounds the
+work; a piece that reaches it short of the tolerance is not converged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainError, NoConvergence, SingularInterior, ZeroDenominator
 from .poly import Polynomial, integer_at_least
@@ -54,7 +54,6 @@ def quad_log(
     b,
     m: int = 1,
     tol: float = 1e-11,
-    max_evals: int = 1_000_000,
 ) -> QuadResult:
     """Numerically integrate P(x)/Q(x) (ln x)^m over [a, b], 0 <= a < b,
     the integrand given as the pair (P, Q)."""
@@ -108,30 +107,7 @@ def quad_log(
                 f"integrand has a pole at x = {x:.17g} inside [{a:g}, {b:g}]"
             ) from None
 
-    count = 0
-
-    def counted(g: Callable[[float], float]) -> Callable[[float], float]:
-        def wrapper(x: float) -> float:
-            nonlocal count
-            count += 1
-            if count > max_evals:
-                raise NoConvergence(
-                    f"evaluation budget of {max_evals} exceeded"
-                )
-            return g(x)
-
-        return wrapper
-
-    pieces: list[tuple[float, float, bool]] = []  # (value, err, clean)
     tail_bound = 0.0
-
-    def run_piece(g: Callable[[float], float], lo: float, hi: float) -> None:
-        out = quad(
-            counted(g), lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=200,
-            full_output=1,
-        )
-        pieces.append((out[0], out[1], len(out) == 3))
-
     if a == 0.0 and m >= 1:
         split = min(b, 1.0)
         u0 = -math.log(split)  # 0 when b >= 1
@@ -151,19 +127,25 @@ def quad_log(
         def transformed(u: float) -> float:
             return f(math.exp(-u)) * (-u) ** m * math.exp(-u)
 
-        run_piece(transformed, u0, cut)
+        pieces = [(transformed, u0, cut)]
         if b > 1.0:
-            run_piece(lambda x: f(x) * math.log(x) ** m, 1.0, b)
+            pieces.append((lambda x: f(x) * math.log(x) ** m, 1.0, b))
     else:
-        run_piece(lambda x: f(x) * math.log(x) ** m, a, b)
+        pieces = [(lambda x: f(x) * math.log(x) ** m, a, b)]
 
-    value = math.fsum(v for v, _, _ in pieces)
-    err = math.fsum(e for _, e, _ in pieces) + tail_bound
-    clean = all(ok for _, _, ok in pieces)
+    # QUADPACK counts the evaluations (neval) and bounds them: with
+    # limit=200 a piece stops after at most 21 + 42 * 199 of them.
+    outs = [
+        quad(g, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=200, full_output=1)
+        for g, lo, hi in pieces
+    ]
+    value = math.fsum(out[0] for out in outs)
+    err = math.fsum(out[1] for out in outs) + tail_bound
+    clean = all(len(out) == 3 for out in outs)
     converged = clean and err <= max(tol, 1e-12 * abs(value))
     return QuadResult(
         value=value,
         abs_error_estimate=err,
-        evaluations=count,
+        evaluations=sum(out[2]["neval"] for out in outs),
         converged=converged,
     )

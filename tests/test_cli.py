@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output shapes, exit codes, environment."""
 
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from logint import ClosedForm, IntegralSpec, Polynomial, integrate_rational_log
-from logint.cli import main
+from logint.cli import _VALUE_FLAGS, build_parser, main
 from logint.quadrature import QuadResult
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -124,6 +125,26 @@ class TestIntegrate:
         assert (code, out) == (2, "")
         assert err == "error: denominator factor 6*x^2 - 12 has no rational root\n"
 
+    @pytest.mark.xfail(
+        raises=subprocess.TimeoutExpired,
+        reason="ROADMAP item 3: the rational-root search trial-divides up to "
+        "the square root of a constant with a large prime factor",
+    )
+    def test_constant_with_a_large_prime_factor_exits_2_in_time(self, tmp_path):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "logint", "integrate", "--num", "1",
+                "--den", "x^2+x+1000000000000000003", "--lower", "1", "--upper", "2",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert proc.returncode == 2
+        assert "has no rational root" in proc.stderr
+
     # Exact results whose float value is out of range: a domain error,
     # not an OverflowError traceback.
     def test_coefficient_beyond_float_range_exits_2(self, capsys):
@@ -167,6 +188,26 @@ class TestNumericOnly:
         doc = json.loads(out)
         assert doc["converged"] is True
         assert doc["abs_error_estimate"] >= 0.0
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_non_converged_oracle_reports_on_stderr(self, capsys, monkeypatch, json_flag):
+        def fake_quad(*args, **kwargs):
+            return QuadResult(
+                value=1.0, abs_error_estimate=0.25, evaluations=840, converged=False
+            )
+
+        monkeypatch.setattr("logint.cli.quad_log", fake_quad)
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", *json_flag, "--num", "1", "--den", "x+1",
+            "--lower", "0", "--upper", "1",
+        )
+        assert code == 2
+        if json_flag:
+            assert json.loads(out)["converged"] is False
+        else:
+            assert out == "value: 1\nerror-estimate: 0.25\nevaluations: 840\n"
+        assert err == "error: oracle did not converge (error estimate 0.25)\n"
 
     def test_irrational_pole_inside_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -405,6 +446,22 @@ class TestFlagsAndEnvironment:
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "--frobnicate", "1"])
         assert exc.value.code == 1
+
+    def test_every_value_option_may_take_a_leading_minus(self):
+        # _merge_flag_values folds only the flags in _VALUE_FLAGS into
+        # --flag=value; any other option given "-1" would see a flag.
+        parser = build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        takes_value = {
+            flag
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            if action.nargs != 0
+            for flag in action.option_strings
+        }
+        assert takes_value <= _VALUE_FLAGS
 
     def test_missing_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

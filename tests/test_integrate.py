@@ -578,3 +578,19 @@ class TestDriver:
             ref = quad_log((num, den), spec.lower, spec.upper)
             assert ref.converged
             assert abs(got - ref.value) <= 1e-9 * (1 + abs(ref.value))
+
+    @pytest.mark.xfail(
+        reason="ROADMAP item 2: evalf subtracts F(upper) - F(lower) in floats "
+        "and loses every digit when they cancel",
+    )
+    def test_evalf_keeps_relative_accuracy_on_a_narrow_interval(self):
+        spec = IntegralSpec(
+            numerator=Polynomial((1,)),
+            denominator=Polynomial((3, 1)),
+            lower=F(1),
+            upper=1 + F(1, 10**8),
+        )
+        # mpmath's tanh-sinh quad at 40 digits.
+        ref = 1.2499999937500000e-17
+        got = integrate_rational_log(spec).evalf()
+        assert abs(got - ref) <= 1e-6 * ref

@@ -1,4 +1,4 @@
-"""Quadrature oracle: endpoint singularity handling, errors, budgets."""
+"""Quadrature oracle: endpoint singularity handling, errors, bounded work."""
 
 import ast
 import math
@@ -13,7 +13,6 @@ import pytest
 
 from logint import (
     DomainError,
-    NoConvergence,
     Polynomial,
     SingularInterior,
     ZeroDenominator,
@@ -160,9 +159,23 @@ class TestFailureModes:
         with pytest.raises(DomainError, match="beyond floating-point range"):
             quad_log(rational(ONE, Polynomial((1, 1))), 1, F(10**400))
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(NoConvergence):
-            quad_log(rational(ONE, Polynomial((F(1, 2), 1))), 0, 1, max_evals=50)
+    def test_non_converged_run_does_bounded_work(self):
+        # QUADPACK's QAGS starts with one 21-point Gauss-Kronrod rule and
+        # each bisection adds two more, so with limit=200 subintervals a
+        # piece stops after at most 21 + 42 * 199 evaluations.  [0, 10^6]
+        # is two pieces: the mapped [0, 1] and [1, 10^6].
+        res = quad_log(rational(ONE, Polynomial((1, 2, 1))), 0, 10**6)
+        assert not res.converged
+        assert 0 < res.evaluations <= 2 * (21 + 42 * 199)
+
+    @pytest.mark.xfail(
+        reason="ROADMAP item 11: np.roots splits the double root 4/3 off the "
+        "real axis, and no quadrature node lands on it",
+    )
+    def test_double_pole_missed_by_the_root_scan(self):
+        den = Polynomial((F(-4, 3), 1)) ** 2
+        with pytest.raises(SingularInterior):
+            quad_log(rational(ONE, den), F(7, 10), F(47, 15))
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
