@@ -50,11 +50,15 @@ class DilogResult:
 def dilog(x: Union[float, int, Fraction]) -> DilogResult:
     """Li2(x) for x <= 1/2; an exact x beyond float range is a DomainError."""
     try:
-        x = float(x)
+        value = float(x)
     except OverflowError:
         raise DomainError("dilog argument is beyond floating-point range") from None
-    if math.isnan(x) or x > 0.5:
-        raise DomainError(f"dilog argument must be <= 1/2, got {x}")
+    # The bound is checked on x itself: an exact x just above 1/2 rounds to
+    # 0.5, so it is shown exactly rather than as the float.
+    if math.isnan(value) or x > 0.5:
+        shown = x if value == 0.5 else value
+        raise DomainError(f"dilog argument must be <= 1/2, got {shown}")
+    x = value
     if x == 0.0:
         return DilogResult(0.0, 0.0)
     if x == -1.0:

@@ -7,8 +7,9 @@ quantities needed are
     int_0^b x^j (ln x)^k dx           = (-1)^k k! b^(j+1) / (j+1)^(k+1)
                                         ... binomially shifted by ln b,
     int_0^b ln x / (x + r) dx         = ln b ln((b+r)/r) + Li2(-b/r),
-    int_0^b ln x / (x + r)^n dx       via h_n(b/r), the closed form of
-                                        int_0^b ln t / (1 + t)^n dt.
+    int_0^b ln x / (x + r)^n dx       = f_n(b, r), one closed form, whose
+                                        r = 1 case h_n(b) is refereed by the
+                                        recurrence unit_pole_log_parts.
 
 All arithmetic on coefficients is exact; results are ClosedForm values
 whose atoms are the products 1, pi^2, ln q, (ln q)^k, ln q1 ln q2 and
@@ -123,43 +124,41 @@ def symmetric_two_pole_dilog(a: Scalar, b: Scalar) -> ClosedForm:
 
 
 def unit_pole_log_integral(n: int, b: Scalar) -> ClosedForm:
-    """h_n(b) = int_0^b ln t / (1 + t)^n dt for n >= 2, in closed form.
+    """h_n(b) = int_0^b ln t / (1 + t)^n dt for n >= 2: the r = 1 case of
+    integrate_multiple_pole, whose ln r term vanishes."""
+    return integrate_multiple_pole(n, b, 1)
 
-    One integration by parts, with (1 - y^(n-1))/t = sum_{k=1}^{n-1}
-    (1+t)^(-k) and y = 1/(1+b), gives
 
-        h_n(b) = [ (1 - y^(n-1)) ln b - ln(1+b)
-                   - sum_{k=1}^{n-2} (1 - y^k)/k ] / (n-1).
+def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
+    """f_n(b, r) = int_0^b ln x / (x + r)^n dx for n >= 2 and r > 0.
+
+    Integrate by parts against (r^(1-n) - (x+r)^(1-n)) / (n-1), the
+    antiderivative of (x+r)^(-n) that vanishes at 0, and expand
+    (1 - (r/(x+r))^(n-1)) / x = sum_{k=1}^{n-1} r^(k-1) / (x+r)^k.
+    With y = r/(b+r),
+
+        f_n(b, r) = [ (1 - y^(n-1)) ln b - ln(1 + b/r)
+                      - sum_{k=1}^{n-2} (1 - y^k)/k ] / ((n-1) r^(n-1)).
+
+    At r = 1 this is h_n(b), which unit_pole_log_parts referees.
     """
     integer_at_least(n, 2, "pole order")
     b = positive(b, "upper limit")
-    y = 1 / (1 + b)
+    r = positive(r, "pole parameter")
+    t = b / r
+    y = r / (b + r)
     y_k = Fraction(1)
     rest = Fraction(0)
     for k in range(1, n - 1):
         y_k *= y
         rest -= (1 - y_k) / k
-    scale = Fraction(1, n - 1)
+    s = 1 / ((n - 1) * r ** (n - 1))
+    c = (1 - y_k * y) * s
+    # ln b stays split as ln r + ln(b/r): the canonical forms, and so the
+    # golden digests, carry both atoms.
     return ClosedForm(
-        ((Log(b), (1 - y_k * y) * scale), (Log(1 + b), -scale), (UNIT, rest * scale))
+        ((Log(r), c), (Log(t), c), (Log(1 + t), -s), (UNIT, rest * s))
     )
-
-
-def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
-    """int_0^b ln x / (x + r)^n dx for n >= 2 and r > 0.
-
-    Scaling x = r t maps onto the unit-pole integral:
-
-        f_n(b, r) = ln r / ((n-1) r^(n-1)) * (1 - (r/(b+r))^(n-1))
-                    + h_n(b/r) / r^(n-1).
-    """
-    integer_at_least(n, 2, "pole order")
-    b = positive(b, "upper limit")
-    r = positive(r, "pole parameter")
-    bracket = 1 - Fraction(r, b + r) ** (n - 1)
-    scale = Fraction(1, r ** (n - 1))
-    h = unit_pole_log_integral(n, Fraction(b, r))
-    return ClosedForm.of(Log(r), scale * bracket / (n - 1)) + scale * h
 
 
 @dataclass(frozen=True)

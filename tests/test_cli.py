@@ -303,6 +303,14 @@ class TestDilog:
         assert code == 2
         assert "error:" in err
 
+    def test_argument_just_above_one_half_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "dilog", "--x", "0.5000000000000000001")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: dilog argument must be <= 1/2, "
+            "got 5000000000000000001/10000000000000000000\n"
+        )
+
     def test_argument_beyond_float_range_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "dilog", "--x", "-1e400")
         assert (code, out) == (2, "")

@@ -60,6 +60,13 @@ class TestPointValues:
             dilog(float("nan"))
         dilog(0.5)  # boundary is allowed
 
+    def test_exact_argument_just_above_one_half(self):
+        # float() rounds this to 0.5, so the bound is checked exactly.
+        x = Fraction(5 * 10**18 + 1, 10**19)
+        with pytest.raises(DomainError, match=f"got {x}$"):
+            dilog(x)
+        dilog(Fraction(1, 2))
+
     def test_exact_argument_beyond_float_range(self):
         with pytest.raises(DomainError, match="beyond floating-point range"):
             dilog(Fraction(-(10**400)))

@@ -314,6 +314,35 @@ class TestMultiplePole:
             assert ref.converged
             assert abs(got - ref.value) <= 1e-10 * (1 + abs(ref.value))
 
+    def test_scaling_against_recurrence_exact(self):
+        # x = r t gives, with y = r/(b+r),
+        #   f_n(b, r) = ln r (1 - y^(n-1)) / ((n-1) r^(n-1)) + h_n(b/r) / r^(n-1),
+        # and h_n(b/r) is rebuilt from the recurrence's polynomial parts.
+        # The pairs take r < 1, b = r^2 (ln r and ln(b/r) merge) and b = r.
+        pairs = [
+            (F(3), F(2)),
+            (F(1, 2), F(5)),
+            (F(4), F(2)),
+            (F(1, 9), F(1, 3)),
+            (F(7), F(7)),
+            (F(10**6, 7), F(3, 11)),
+        ]
+        for n in range(2, 16):
+            parts = unit_pole_log_parts(n)
+            for b, r in pairs:
+                t = b / r
+                h = ClosedForm(
+                    (
+                        (Log(t), parts.log_b(t)),
+                        (Log(1 + t), parts.log_one_plus_b(t)),
+                        (UNIT, parts.rational(t)),
+                    )
+                ) / (1 + t) ** (n - 1)
+                scale = r ** (n - 1)
+                y = r / (b + r)
+                log_r = ClosedForm.of(Log(r), (1 - y ** (n - 1)) / ((n - 1) * scale))
+                assert integrate_multiple_pole(n, b, r) == log_r + h / scale, (n, b, r)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             integrate_multiple_pole(1, 1, 1)
