@@ -12,9 +12,9 @@ origin; the substitution x = exp(-u) turns int_0^s into
     int_{-ln s}^{inf} R(exp(-u)) (-u)^m exp(-u) du
 
 whose integrand is smooth and exponentially decaying.  The infinite tail
-is cut at a point U chosen so that  C * Gamma(m+1, U)  is far below the
-requested tolerance, C being a sampled bound for |R| near the origin;
-the cut contributes to the reported error estimate.
+is cut at a point U > -ln s chosen so that  C * Gamma(m+1, U)  is far
+below the requested tolerance, C being a sampled bound for |R| near the
+origin; the cut contributes to the reported error estimate.
 
 Real poles within the integration interval, or within rounding distance
 of either endpoint, raise SingularInterior; an infinite upper limit
@@ -23,6 +23,12 @@ node that lands on a pole the float root scan missed.  Coefficients or
 bounds beyond float range raise DomainError; a tail that cannot be
 bounded raises NoConvergence.  QUADPACK's subinterval limit bounds the
 work; a piece that reaches it short of the tolerance is not converged.
+
+QUADPACK's QAGS (finite ranges) and QAGI ([a, inf)) run in-tree, from
+`logint.quadpack`; the tests referee that port against
+scipy.integrate.quad, which must return the same floats to the bit.  P
+and Q are converted to floats once per call, and each node costs float
+arithmetic only.
 """
 
 from __future__ import annotations
@@ -57,20 +63,21 @@ def quad_log(
 ) -> QuadResult:
     """Numerically integrate P(x)/Q(x) (ln x)^m over [a, b], 0 <= a < b,
     the integrand given as the pair (P, Q)."""
-    # Imported on first use, not with the module: numpy and scipy make
-    # `import logint` take about five times the memory, and the symbolic
-    # side never needs them.
+    # Imported on first use, not with the module: numpy takes `import
+    # logint` from about 17 to 28 MB, compiling quadpack from source adds
+    # about 0.8 MB, and the symbolic side needs neither.
     import numpy as np
-    from scipy.integrate import quad
+
+    from .quadpack import qagi, qags
 
     num, den = integrand
     try:
         a = float(a)
         b = float(b)
-        # Checked here once, so the float evaluation below cannot overflow.
+        # Converted once, highest degree first: every node then costs
+        # float arithmetic only, and the evaluation cannot overflow.
+        num_coeffs = [float(c) for c in reversed(num.coeffs)]
         den_coeffs = [float(c) for c in reversed(den.coeffs)]
-        for c in num.coeffs:
-            float(c)
     except OverflowError:
         raise DomainError(
             "an integrand coefficient or a bound is beyond floating-point range"
@@ -98,8 +105,16 @@ def quad_log(
             )
 
     def f(x: float) -> float:
+        # Horner's rule in the order of Polynomial.__call__, so the
+        # floats are the ones it gives.
+        p = 0.0
+        for c in num_coeffs:
+            p = p * x + c
+        q = 0.0
+        for c in den_coeffs:
+            q = q * x + c
         try:
-            return num(float(x)) / den(float(x))
+            return p / q
         except ZeroDivisionError:
             # A repeated root can come back from np.roots off the real
             # axis; a node that lands on it is still a pole inside.
@@ -114,6 +129,8 @@ def quad_log(
         # Bound |R| near the origin to place the tail cut.
         cut = None
         for u_cut in (40.0, 80.0, 160.0, 320.0, 640.0):
+            if u_cut <= u0:  # b < e^-40: the range starts past this cut
+                continue
             samples = (math.exp(-u_cut), math.exp(-2.0 * u_cut), 0.0)
             c_bound = 1.5 * max(abs(f(x)) for x in samples)
             bound = c_bound * _upper_incomplete_gamma(m, u_cut)
@@ -136,16 +153,18 @@ def quad_log(
     # QUADPACK counts the evaluations (neval) and bounds them: with
     # limit=200 a piece stops after at most 21 + 42 * 199 of them.
     outs = [
-        quad(g, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=200, full_output=1)
+        qagi(g, lo, epsabs=tol / 4.0, epsrel=1e-12, limit=200)
+        if hi == math.inf
+        else qags(g, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=200)
         for g, lo, hi in pieces
     ]
-    value = math.fsum(out[0] for out in outs)
-    err = math.fsum(out[1] for out in outs) + tail_bound
-    clean = all(len(out) == 3 for out in outs)
+    value = math.fsum(out.value for out in outs)
+    err = math.fsum(out.abserr for out in outs) + tail_bound
+    clean = all(out.ier == 0 for out in outs)
     converged = clean and err <= max(tol, 1e-12 * abs(value))
     return QuadResult(
         value=value,
         abs_error_estimate=err,
-        evaluations=sum(out[2]["neval"] for out in outs),
+        evaluations=sum(out.neval for out in outs),
         converged=converged,
     )

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from logint import (
@@ -18,6 +19,7 @@ from logint import (
     ZeroDenominator,
     quad_log,
 )
+from logint.quadpack import qagi, qags
 
 F = Fraction
 ONE = Polynomial.constant(1)
@@ -42,6 +44,16 @@ class TestFrozenIntegrals:
         res = quad_log((ONE, ONE), 0, 1, m=3)
         assert res.converged
         assert res.value == pytest.approx(-6.0, abs=1e-11)
+
+    def test_range_below_the_first_tail_cut(self):
+        # For b < e^-40 the mapped range [-ln b, inf) starts past the
+        # first tail cut, u = 40; integrating up to it ran backwards and
+        # reported a converged value of the wrong sign.
+        b = 1e-20
+        res = quad_log(rational(ONE, Polynomial((1, 1))), 0, b)
+        exact = mpmath.quad(lambda x: mpmath.log(x) / (1 + x), [0, b])
+        assert res.converged
+        assert res.value == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     def test_result_invariants(self):
         res = quad_log(rational(ONE, Polynomial((1, 1))), 0, 1)
@@ -213,11 +225,28 @@ def test_symbolic_side_does_not_load_the_oracle_dependencies():
     assert proc.stdout.strip() == "[]"
 
 
-def test_oracle_imports_no_symbolic_module():
-    # The oracle referees partial fractions and closed forms, so of the
-    # package it imports only the error types and the polynomial class
-    # that its (P, Q) input is made of.
-    path = Path(__file__).resolve().parent.parent / "src" / "logint" / "quadrature.py"
+def test_oracle_runs_without_scipy():
+    # QUADPACK runs in-tree, so neither a finite range nor [a, inf)
+    # loads scipy.
+    code = (
+        "import math, sys, logint\n"
+        "P = logint.Polynomial\n"
+        "logint.quad_log((P((1,)), P((1, 1))), 0, 2)\n"
+        "logint.quad_log((P((1,)), P((1, 0, 1))), 1, math.inf)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _logint_imports(name):
+    path = Path(__file__).resolve().parent.parent / "src" / "logint" / name
     modules = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -230,5 +259,91 @@ def test_oracle_imports_no_symbolic_module():
                 modules.update(f"logint.{alias.name}" for alias in node.names)
             else:
                 modules.add(module)
-    ours = {m for m in modules if m.split(".")[0] == "logint"}
-    assert ours <= {"logint.errors", "logint.poly"}, sorted(ours)
+    return {m for m in modules if m.split(".")[0] == "logint"}
+
+
+def test_oracle_imports_no_symbolic_module():
+    # The oracle referees partial fractions and closed forms, so of the
+    # package it imports only the error types, the polynomial class that
+    # its (P, Q) input is made of, and QUADPACK, which imports nothing of
+    # the package.
+    ours = _logint_imports("quadrature.py")
+    assert ours <= {"logint.errors", "logint.poly", "logint.quadpack"}, sorted(ours)
+    assert _logint_imports("quadpack.py") == set()
+
+
+# scipy's message for each ier QUADPACK can return with a value.
+_SCIPY_IER = {
+    "The maximum number of subdivisions": 1,
+    "The occurrence of roundoff error": 2,
+    "Extremely bad integrand behavior": 3,
+    "The algorithm does not converge": 4,
+    "The integral is probably divergent": 5,
+}
+
+
+def _scipy_quad(quad, f, a, b, epsabs, epsrel, limit):
+    """(value, abserr, neval, ier) from scipy.integrate.quad."""
+    out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    if len(out) == 3:
+        return out[0], out[1], out[2]["neval"], 0
+    [ier] = [v for k, v in _SCIPY_IER.items() if out[3].startswith(k)]
+    return out[0], out[1], out[2]["neval"], ier
+
+
+def _referee_cases(rng):
+    """(f, a, b, epsabs, epsrel, limit): fixed cases that reach each ier,
+    then seeded random ones over finite and infinite ranges."""
+    def pole(c):
+        return lambda x: 1.0 / (x - c) if x != c else 0.0
+
+    def power(c, p):
+        return lambda x: abs(x - c) ** p if x != c else 0.0
+
+    def damped(f):
+        return lambda x: f(x) / (1.0 + x * x)
+
+    yield math.sin, 0.0, 10.0, 1e-14, 1e-13, 1  # ier 1: the limit
+    yield pole(0.5), 0.0, 1.0, 0.0, 1e-13, 200  # 2: roundoff
+    yield power(0.25, -1.0), 0.0, 1.0, 0.0, 1e-13, 200  # 3: bad point
+    yield power(0.3, -0.99), 0.0, 1.0, 0.0, 1e-13, 200  # 4: extrapolation
+    yield pole(0.3), 0.0, 1.0, 0.0, 1e-13, 200  # 5: divergent
+    for _ in range(400):
+        c = rng.uniform(-0.5, 1.5)
+        w = rng.uniform(1.0, 200.0)
+        f = rng.choice([
+            pole(c),
+            power(c, rng.uniform(-1.3, 0.8)),
+            lambda x, w=w: math.sin(w * x),
+            lambda x, c=c: 1.0 if x > c else -0.5,
+            lambda x, w=w: math.exp(-x * x) * math.cos(w * x / 50.0),
+        ])
+        epsabs = rng.choice([0.0, 1e-14, 1e-10, 1e-6])
+        epsrel = rng.choice([1e-13, 1e-8, 1e-3] if epsabs == 0.0 else [0.0, 1e-12, 1e-8])
+        limit = rng.randint(1, 200)
+        a = rng.uniform(-2.0, 1.0)
+        if rng.random() < 0.5:
+            yield f, a, a + rng.uniform(0.01, 5.0), epsabs, epsrel, limit
+        else:
+            yield damped(f), a, math.inf, epsabs, epsrel, limit
+
+
+def test_quadpack_matches_scipy_bit_for_bit():
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    seen = {"ier": set(), "limit": set(), "infinite": set()}
+    mismatches = []
+    for f, a, b, epsabs, epsrel, limit in _referee_cases(random.Random(5)):
+        want = _scipy_quad(scipy_integrate.quad, f, a, b, epsabs, epsrel, limit)
+        if b == math.inf:
+            got = qagi(f, a, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        else:
+            got = qags(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        if tuple(got) != want:
+            mismatches.append((a, b, epsabs, epsrel, limit, tuple(got), want))
+        seen["ier"].add(got.ier)
+        seen["limit"].add(limit)
+        seen["infinite"].add(b == math.inf)
+    assert mismatches == []
+    assert seen["ier"] == {0, 1, 2, 3, 4, 5}
+    assert {1, 200} <= seen["limit"]
+    assert seen["infinite"] == {False, True}
