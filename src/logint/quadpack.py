@@ -17,8 +17,10 @@ returns the same value, error estimate, evaluation count and ier that
 `scipy.integrate.quad(..., full_output=1)` returns, to the bit.  A
 branch keeps the Fortran's comparison, negated where the Fortran jumps
 past the code (`not (x > y)`, not `x <= y`), so a NaN takes the same
-branch.  The only change of form is that dqagse and dqagie, whose
-drivers differ only in their rule and interval, share one.
+branch.  Two changes of form: dqagse and dqagie, whose drivers differ
+only in their rule and interval, share one; and the integrand takes the
+list of a rule's nodes, in the Fortran's order of evaluation, and
+returns the list of values, so a rule costs one call of it.
 
 This module depends on the standard library alone.
 """
@@ -62,6 +64,13 @@ _WGK21 = (
     0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
 )
+# dqk21 evaluates the Gauss pairs (odd index) before the Kronrod-only
+# ones: their nodes and weights in that order, and where each Kronrod
+# index falls in it.
+_PAIRS21 = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_XK21 = tuple(_XGK21[j] for j in _PAIRS21)
+_WK21 = tuple(_WGK21[j] for j in _PAIRS21)
+_ASC21 = tuple(_PAIRS21.index(j) for j in range(10))
 _WG10 = (
     0.066671344308688137593568809893332,
     0.149451349150580593145776339657697,
@@ -129,37 +138,32 @@ def _qk21(f, a, b):
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
+    # f takes the nodes in one call, in dqk21's order: the centre, then
+    # the Gauss pairs, then the Kronrod-only pairs.
+    xs = [centr]
+    for x in _XK21:
+        absc = hlgth * x
+        xs += (centr - absc, centr + absc)
+    fx = f(xs)
+    fv1 = fx[1::2]
+    fv2 = fx[2::2]
+    fc = fx[0]
     resg = 0.0
-    fc = f(centr)
     resk = _WGK21[10] * fc
     resabs = abs(resk)
-    for j in range(5):  # the Gauss pairs
-        jtw = 2 * j + 1
-        absc = hlgth * _XGK21[jtw]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
+    for fval1, fval2, wg, wgk in zip(fv1, fv2, _WG10, _WK21):  # the Gauss pairs
         fsum = fval1 + fval2
-        resg = resg + _WG10[j] * fsum
-        resk = resk + _WGK21[jtw] * fsum
-        resabs = resabs + _WGK21[jtw] * (abs(fval1) + abs(fval2))
-    for j in range(5):  # the Kronrod-only pairs
-        jtwm1 = 2 * j
-        absc = hlgth * _XGK21[jtwm1]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
+        resg = resg + wg * fsum
+        resk = resk + wgk * fsum
+        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
+    for fval1, fval2, wgk in zip(fv1[5:], fv2[5:], _WK21[5:]):  # the Kronrod-only pairs
         fsum = fval1 + fval2
-        resk = resk + _WGK21[jtwm1] * fsum
-        resabs = resabs + _WGK21[jtwm1] * (abs(fval1) + abs(fval2))
+        resk = resk + wgk * fsum
+        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK21[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK21[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    for i, wgk in zip(_ASC21, _WGK21):  # in the order of the Kronrod index
+        resasc = resasc + wgk * (abs(fv1[i] - reskh) + abs(fv2[i] - reskh))
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -171,31 +175,29 @@ def _qk15i(f, boun, a, b):
     (boun, +inf)."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
-    fval1 = f(boun + (1.0 - centr) / centr)
-    fc = (fval1 / centr) / centr
+    # f takes the nodes in one call, in dqk15i's order, the centre first,
+    # each mapped onto (boun, +inf).
+    ts = [centr]
+    for x in _XGK15[:7]:
+        absc = hlgth * x
+        ts += (centr - absc, centr + absc)
+    fx = f([boun + (1.0 - t) / t for t in ts])
+    fvals = [(fval / t) / t for fval, t in zip(fx, ts)]
+    fv1 = fvals[1::2]
+    fv2 = fvals[2::2]
+    fc = fvals[0]
     resg = _WG7[7] * fc
     resk = _WGK15[7] * fc
     resabs = abs(resk)
-    for j in range(7):
-        absc = hlgth * _XGK15[j]
-        absc1 = centr - absc
-        absc2 = centr + absc
-        fval1 = f(boun + (1.0 - absc1) / absc1)
-        fval2 = f(boun + (1.0 - absc2) / absc2)
-        fval1 = (fval1 / absc1) / absc1
-        fval2 = (fval2 / absc2) / absc2
-        fv1[j] = fval1
-        fv2[j] = fval2
+    for fval1, fval2, wg, wgk in zip(fv1, fv2, _WG7, _WGK15):
         fsum = fval1 + fval2
-        resg = resg + _WG7[j] * fsum
-        resk = resk + _WGK15[j] * fsum
-        resabs = resabs + _WGK15[j] * (abs(fval1) + abs(fval2))
+        resg = resg + wg * fsum
+        resk = resk + wgk * fsum
+        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK15[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc = resasc + _WGK15[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    for fval1, fval2, wgk in zip(fv1, fv2, _WGK15):
+        resasc = resasc + wgk * (abs(fval1 - reskh) + abs(fval2 - reskh))
     result = resk * hlgth
     resasc = resasc * hlgth
     resabs = resabs * hlgth
@@ -549,7 +551,7 @@ def _invalid(epsabs, epsrel, limit):
 
 
 def qags(
-    f: Callable[[float], float],
+    f: Callable[[list[float]], list[float]],
     a: float,
     b: float,
     *,
@@ -558,7 +560,8 @@ def qags(
     limit: int,
 ) -> QuadpackResult:
     """dqagse: integrate f over the finite range [a, b] to within
-    max(epsabs, epsrel * |value|), with at most `limit` subintervals."""
+    max(epsabs, epsrel * |value|), with at most `limit` subintervals.
+    f maps a list of nodes to the list of the integrand's values."""
     if _invalid(epsabs, epsrel, limit):
         return QuadpackResult(0.0, 0.0, 0, 6)
     result, abserr, last, ier = _bisect_and_extrapolate(
@@ -568,7 +571,7 @@ def qags(
 
 
 def qagi(
-    f: Callable[[float], float],
+    f: Callable[[list[float]], list[float]],
     bound: float,
     *,
     epsabs: float,
@@ -576,7 +579,8 @@ def qagi(
     limit: int,
 ) -> QuadpackResult:
     """dqagie with inf = 1: integrate f over (bound, +inf) to within
-    max(epsabs, epsrel * |value|), with at most `limit` subintervals."""
+    max(epsabs, epsrel * |value|), with at most `limit` subintervals.
+    f maps a list of nodes to the list of the integrand's values."""
     if _invalid(epsabs, epsrel, limit):
         return QuadpackResult(0.0, 0.0, 0, 6)
     result, abserr, last, ier = _bisect_and_extrapolate(

@@ -219,8 +219,8 @@ class TestNumericOnly:
         assert "pole" in err
 
     def test_repeated_pole_inside_exits_2_without_traceback(self, tmp_path):
-        # The float root scan misses the 4-fold root; the quadrature node
-        # at x = 3/2 must still end as a typed error, not a traceback.
+        # A float root finder splits the 4-fold root off the real axis;
+        # the pole must still end as a typed error, not a traceback.
         proc = subprocess.run(
             [
                 sys.executable, "-m", "logint.cli", "integrate", "--numeric-only",
@@ -236,6 +236,18 @@ class TestNumericOnly:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "error: integrand has a pole at x = 1.5 inside [1, 3]" in proc.stderr
+
+    def test_double_pole_inside_exits_2(self, capsys):
+        # A float root finder returns the double root 4/3 as 4/3 +- 1.8e-8 i,
+        # and the oracle then integrated across the pole and printed a value.
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--num", "1", "--den", "(x-4/3)^2",
+            "--lower", "0.7", "--upper", "47/15",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: integrand has a pole at x = 1.3333333333333333 inside [0.7, 3.13333]\n"
 
     def test_overflowing_bound_is_a_parse_error(self, capsys):
         code, out, err = run_cli(

@@ -4,8 +4,10 @@ import ast
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from logint import (
     quad_log,
 )
 from logint.quadpack import qagi, qags
+from logint.quadrature import _pole_in
 
 F = Fraction
 ONE = Polynomial.constant(1)
@@ -127,9 +130,9 @@ class TestFailureModes:
             quad_log(rational(ONE, Polynomial((-2, 1))), 1, 2)
 
     def test_repeated_pole_split_off_the_real_axis(self):
-        # np.roots returns the 4-fold root of (x - 3/2)^4 as two complex
-        # pairs, so the float root scan misses it and quadrature lands on
-        # x = 3/2 itself.  That node is a pole inside the interval.
+        # A float root finder returns the 4-fold root of (x - 3/2)^4 as
+        # two complex pairs, off the real axis; the exact test finds it
+        # from the coefficients, before any node lands on x = 3/2.
         den = Polynomial((F(-3, 2), 1)) ** 4
         with pytest.raises(SingularInterior, match=r"x = 1\.5 inside \[1, 3\]"):
             quad_log(rational(ONE, den), 1, 3)
@@ -180,11 +183,9 @@ class TestFailureModes:
         assert not res.converged
         assert 0 < res.evaluations <= 2 * (21 + 42 * 199)
 
-    @pytest.mark.xfail(
-        reason="ROADMAP item 11: np.roots splits the double root 4/3 off the "
-        "real axis, and no quadrature node lands on it",
-    )
     def test_double_pole_missed_by_the_root_scan(self):
+        # A float root finder splits the double root 4/3 off the real
+        # axis, and no quadrature node lands on it.
         den = Polynomial((F(-4, 3), 1)) ** 2
         with pytest.raises(SingularInterior):
             quad_log(rational(ONE, den), F(7, 10), F(47, 15))
@@ -207,9 +208,96 @@ class TestFailureModes:
             quad_log(f, 0, 1, tol=0.0)
 
 
+def _check_pole_decision(den, a, b, roots):
+    """quad_log on [a, b] against the exact real roots of den: it raises
+    SingularInterior, naming the float nearest the least root, exactly
+    when a root lies within its margin-extended interval [lo, hi]."""
+    lo = a - 1e-12 * (1.0 + a)
+    hi = b + 1e-12 * (1.0 + b)
+    inside = sorted(r for r in roots if F(lo) <= r and (hi == math.inf or r <= F(hi)))
+    if inside:
+        with pytest.raises(SingularInterior) as exc:
+            quad_log((ONE, den), a, b, m=0, tol=1e-6)
+        assert f"pole at x = {float(inside[0]):.17g} inside" in str(exc.value)
+        return
+    assert _pole_in(den.coeffs, lo, hi) is None
+    try:
+        quad_log((ONE, den), a, b, m=0, tol=1e-6)
+    except SingularInterior as exc:
+        # Only the float guard may raise here: Q evaluated to 0.0 at a
+        # node in [a, b], beside a pole just outside the interval.
+        node = float(re.search(r"x = (\S+) inside", str(exc)).group(1))
+        assert a <= node <= b and den(node) == 0.0, str(exc)
+
+
+class TestExactPoleDecision:
+    def test_against_known_roots(self):
+        # Q = c * prod (x - r_i)^(m_i) * irreducible quadratics, with the
+        # interval's ends on a root, a margin's width inside or outside
+        # it, or exactly where the margin ends.
+        rng = random.Random(17)
+        modes = ["on", "inside", "outside", "margin"]
+        gap = {"on": 0.0, "inside": 0.5e-12, "outside": 2e-12}
+        start = time.perf_counter()
+        for _ in range(240):
+            roots = {F(rng.randint(-4, 60), rng.randint(1, 9)) for _ in range(rng.randint(1, 3))}
+            den = Polynomial((rng.choice([1, -3, F(2, 7)]),))
+            for r in roots:
+                den = den * Polynomial((-r, 1)) ** rng.randint(1, 6)
+            for _ in range(rng.randint(0, 2)):
+                p = rng.randint(-6, 6)
+                den = den * Polynomial((rng.randint(p * p // 4 + 1, 40), p, 1))
+            r = rng.choice(sorted(roots))
+            x = max(float(r), 0.0)
+            if rng.random() < 0.5:  # the root at or beside the upper end
+                mode = rng.choice(modes)
+                if mode == "margin":  # b + 1e-12 * (1 + b) lands on r
+                    b = (x - 1e-12) / (1.0 + 1e-12)
+                else:
+                    b = x - gap[mode] * (1.0 + x)
+                a = max(0.0, b - rng.uniform(0.05, 5.0))
+                if not b > a:
+                    continue
+            else:  # at or beside the lower end
+                mode = rng.choice(modes)
+                if mode == "margin":  # a - 1e-12 * (1 + a) lands on r
+                    a = (x + 1e-12) / (1.0 - 1e-12)
+                else:
+                    a = x + gap[mode] * (1.0 + x)
+                b = rng.choice([math.inf, a + rng.uniform(0.05, 5.0)])
+            _check_pole_decision(den, a, b, roots)
+        assert time.perf_counter() - start < 60.0
+
+    def test_against_sympy_count_roots(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(23)
+        start = time.perf_counter()
+        for _ in range(150):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 5))] + [rng.randint(1, 5)]
+            den = Polynomial(coeffs) * Polynomial((rng.randint(-3, 6), rng.randint(1, 2))) ** rng.randint(1, 3)
+            q = sympy.Poly(list(reversed(den.coeffs)), x)
+            a = float(F(rng.randint(0, 40), rng.randint(1, 8)))
+            b = rng.choice([math.inf, a + float(F(rng.randint(1, 40), rng.randint(1, 8)))])
+            lo = a - 1e-12 * (1.0 + a)
+            hi = b + 1e-12 * (1.0 + b)
+            lo_q = sympy.Rational(F(lo))
+            hi_q = sympy.oo if hi == math.inf else sympy.Rational(F(hi))
+            count = q.count_roots(lo_q, hi_q)
+            assert (_pole_in(den.coeffs, lo, hi) is not None) == (count > 0), (den, a, b)
+            inside = sorted(r for r in sympy.real_roots(q) if lo_q <= r <= hi_q)
+            assert len(set(inside)) == count
+            if inside:
+                with pytest.raises(SingularInterior) as exc:
+                    quad_log((ONE, den), a, b)
+                nearest = float(sympy.N(inside[0], 40))
+                assert f"pole at x = {nearest:.17g} inside" in str(exc.value)
+        assert time.perf_counter() - start < 60.0
+
+
 def test_symbolic_side_does_not_load_the_oracle_dependencies():
-    # numpy and scipy are the oracle's alone; importing the package and
-    # integrating symbolically must not load them.
+    # numpy and scipy are no runtime dependency; importing the package
+    # and integrating symbolically must not load them.
     code = (
         "import sys, logint, logint.cli\n"
         "logint.integrate_simple_pole(1, 1)\n"
@@ -226,14 +314,20 @@ def test_symbolic_side_does_not_load_the_oracle_dependencies():
 
 
 def test_oracle_runs_without_scipy():
-    # QUADPACK runs in-tree, so neither a finite range nor [a, inf)
-    # loads scipy.
+    # QUADPACK runs in-tree and the pole test is exact, so neither a
+    # finite range, nor [a, inf), nor a pole inside loads numpy or scipy.
     code = (
         "import math, sys, logint\n"
         "P = logint.Polynomial\n"
         "logint.quad_log((P((1,)), P((1, 1))), 0, 2)\n"
         "logint.quad_log((P((1,)), P((1, 0, 1))), 1, math.inf)\n"
-        "print('scipy' in sys.modules)\n"
+        "try:\n"
+        "    logint.quad_log((P((1,)), P((-2, 0, 1))), 1, 2)\n"
+        "except logint.SingularInterior:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no SingularInterior')\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -242,7 +336,7 @@ def test_oracle_runs_without_scipy():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def _logint_imports(name):
@@ -328,16 +422,23 @@ def _referee_cases(rng):
             yield damped(f), a, math.inf, epsabs, epsrel, limit
 
 
+def _port_quad(f, a, b, epsabs, epsrel, limit):
+    """qags or qagi on a scalar f, which the port calls with node lists."""
+    def listed(xs):
+        return [f(x) for x in xs]
+
+    if b == math.inf:
+        return qagi(listed, a, epsabs=epsabs, epsrel=epsrel, limit=limit)
+    return qags(listed, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+
+
 def test_quadpack_matches_scipy_bit_for_bit():
     scipy_integrate = pytest.importorskip("scipy.integrate")
     seen = {"ier": set(), "limit": set(), "infinite": set()}
     mismatches = []
     for f, a, b, epsabs, epsrel, limit in _referee_cases(random.Random(5)):
         want = _scipy_quad(scipy_integrate.quad, f, a, b, epsabs, epsrel, limit)
-        if b == math.inf:
-            got = qagi(f, a, epsabs=epsabs, epsrel=epsrel, limit=limit)
-        else:
-            got = qags(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        got = _port_quad(f, a, b, epsabs, epsrel, limit)
         if tuple(got) != want:
             mismatches.append((a, b, epsabs, epsrel, limit, tuple(got), want))
         seen["ier"].add(got.ier)
@@ -347,3 +448,24 @@ def test_quadpack_matches_scipy_bit_for_bit():
     assert seen["ier"] == {0, 1, 2, 3, 4, 5}
     assert {1, 200} <= seen["limit"]
     assert seen["infinite"] == {False, True}
+
+
+def test_quadpack_evaluates_scipys_nodes_in_scipys_order():
+    # Each rule hands f its nodes in one list; joined, the lists are the
+    # calls scipy's QUADPACK makes to f, value for value and in order.
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    for f, a, b, epsabs, epsrel, limit in _referee_cases(random.Random(5)):
+        theirs = []
+        ours = []
+
+        def scalar(x, f=f, calls=theirs):
+            calls.append(x)
+            return f(x)
+
+        def recorded(x, f=f, calls=ours):
+            calls.append(x)
+            return f(x)
+
+        _scipy_quad(scipy_integrate.quad, scalar, a, b, epsabs, epsrel, limit)
+        _port_quad(recorded, a, b, epsabs, epsrel, limit)
+        assert ours == theirs, (a, b, epsabs, epsrel, limit)
