@@ -20,15 +20,15 @@ origin; the cut contributes to the reported error estimate.
 A real pole within the integration interval, or within rounding distance
 of either endpoint, raises SingularInterior, whose message names the
 float nearest the least such pole; an infinite upper limit counts only
-the poles at or above the lower one.  The test is exact, on Q's integer
-coefficients (Collins and Akritas, 1976): Descartes' rule of signs
-alone when Q's coefficients show no sign change and Q(0) != 0, as for
-every denominator whose poles are all negative; otherwise sign
-variations of Q mapped onto the interval, and exact bisection of its
-square-free part where they leave the count open.  Coefficients or
-bounds beyond float range raise DomainError; a tail that cannot be
-bounded raises NoConvergence.  QUADPACK's subinterval limit bounds the
-work; a piece that reaches it short of the tolerance is not converged.
+the poles at or above the lower one.  The test is exact, in integers on
+Q's coefficients: Descartes' rule of signs alone when they show no sign
+change and Q(0) != 0, as for every denominator whose poles are all
+negative; otherwise Sturm's theorem (Sturm, 1835), which counts Q's
+distinct real roots in any interval, and one bisection by that count,
+which names the pole.  Coefficients or bounds beyond float range raise
+DomainError; a tail that cannot be bounded raises NoConvergence.
+QUADPACK's subinterval limit bounds the work; a piece that reaches it
+short of the tolerance is not converged.
 
 QUADPACK's QAGS (finite ranges) and QAGI ([a, inf)) run in-tree, from
 `logint.quadpack`; the tests referee that port against
@@ -77,67 +77,6 @@ def _primitive(coeffs) -> list[int]:
     return [c // (g if ints[-1] > 0 else -g) for c in ints]
 
 
-def _shift(coeffs: list[int], s: int) -> list[int]:
-    """The coefficients of p(x + s) (Taylor shift, ascending order)."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for k in range(n - 2, i - 1, -1):
-            out[k] += s * out[k + 1]
-    return out
-
-
-def _to_unit(coeffs: list[int], origin: int, width: int, denom: int) -> list[int]:
-    """denom^d p((origin + width*t)/denom): p with the interval from
-    origin/denom to (origin + width)/denom mapped onto t in [0, 1]."""
-    d = len(coeffs) - 1
-    out = _shift([c * denom ** (d - k) for k, c in enumerate(coeffs)], origin)
-    return [c * width**k for k, c in enumerate(out)]
-
-
-def _unit_variations(coeffs: list[int]) -> int:
-    """Sign changes of (1+t)^d p(1/(1+t)), whose positive roots t are
-    the roots of p in (0, 1): by Descartes' rule, their number is this
-    count less an even number."""
-    return _variations(_shift(coeffs[::-1], 1))
-
-
-def _least_unit_root(coeffs: list[int]) -> tuple[Fraction, Fraction] | None:
-    """(lo, hi) within [0, 1] holding the least root of the square-free
-    p in (0, 1), and no other one, or (t, t) when that root is t; None
-    when p has no root there.  p(0) must not be 0.
-
-    Collins and Akritas (1976): bisect until the count of sign changes
-    is 0 (no root) or 1 (exactly one), which Vincent's theorem says
-    happens once the piece is small enough.  The pieces are taken left
-    to right, each with its own copy of p mapped onto (0, 1)."""
-    stack = [(coeffs, 0, 0)]  # p of the piece (c/2^k, (c+1)/2^k)
-    while stack:
-        p, c, k = stack.pop()
-        if p is None:  # its left end is a root, and the least one
-            return Fraction(c, 2**k), Fraction(c, 2**k)
-        v = _unit_variations(p)
-        if v == 1:
-            return Fraction(c, 2**k), Fraction(c + 1, 2**k)
-        if v == 0:
-            continue
-        d = len(p) - 1
-        left = [a * 2 ** (d - j) for j, a in enumerate(p)]  # 2^d p(t/2)
-        right = _shift(left, 1)
-        # A root at the midpoint is less than any of the right half's.
-        stack.append((right if right[0] else None, 2 * c + 1, k + 1))
-        stack.append((left, 2 * c, k + 1))
-    return None
-
-
-def _sign_at(coeffs: list[int], x: Fraction) -> int:
-    """The sign of p(x), exactly."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return (acc > 0) - (acc < 0)
-
-
 def _as_float(x: Fraction) -> float:
     """float(x), or inf above float range (every x here is >= lo)."""
     try:
@@ -146,40 +85,51 @@ def _as_float(x: Fraction) -> float:
         return math.inf
 
 
-def _nearest_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
-    """The float nearest the one root of p in (lo, hi), where p(lo) != 0;
-    by exact bisection until lo and hi round to one float, or to
-    neighbours, which the sign of p halfway between them decides."""
-    if lo < 0 < hi and coeffs[0] == 0:
-        # The root is 0, where the floats are densest: bisection would
-        # take about 1,100 halvings to reach it.
-        return 0.0
-    s = _sign_at(coeffs, lo)
+def _scaled_at(p: list[int], x: Fraction) -> int:
+    """den(x)^deg p(x) for a rational x: an integer with the sign of p(x)."""
+    n, d = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * w
+        w *= d
+    return acc
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _sturm(q: list[int]) -> list[list[int]]:
+    """Q's Sturm sequence: Q, Q' and each remainder negated, every one
+    scaled by a positive factor to coprime integers."""
+    chain = [q, _derivative(q)]
+    while len(chain[-1]) > 1:
+        r, g = list(chain[-2]), chain[-1]
+        # Pseudo-division by |lead g|, which keeps the remainder's sign.
+        while len(r) >= len(g):
+            c = r.pop() if g[-1] > 0 else -r.pop()
+            s = len(r) + 1 - len(g)
+            r = [abs(g[-1]) * a for a in r]
+            for i, b in enumerate(g[:-1]):
+                r[s + i] -= c * b
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        content = math.gcd(*r)
+        chain.append([-a // content for a in r])
+    return chain
+
+
+def _sturm_variations(chain: list[list[int]], x: Fraction) -> int:
+    """V(x): the chain's sign changes at x.  At a repeated root every
+    element is 0, being a multiple of gcd(Q, Q'); differentiating each
+    as often as the root's multiplicity there divides that factor out."""
     while True:
-        u, v = _as_float(lo), _as_float(hi)
-        if u == v:
-            return u
-        if math.nextafter(u, math.inf) == v < math.inf:
-            mid = (Fraction(u) + Fraction(v)) / 2
-            sm = _sign_at(coeffs, mid)
-            return float(mid) if sm == 0 else v if sm == s else u
-        mid = (lo + hi) / 2
-        sm = _sign_at(coeffs, mid)
-        if sm == 0:
-            return _as_float(mid)
-        if sm == s:
-            lo = mid
-        else:
-            hi = mid
-
-
-def _square_free(coeffs: list[int]) -> list[int]:
-    """p / gcd(p, p'): the same roots, each of multiplicity one."""
-    p = Polynomial(coeffs)
-    g, r = p, p.derivative()
-    while r:
-        g, r = r, g % r
-    return _primitive((p // g).coeffs)
+        values = [_scaled_at(p, x) for p in chain]
+        if any(values):
+            return _variations(values)
+        chain = [_derivative(p) for p in chain]
 
 
 def _pole_in(coeffs, lo: float, hi: float) -> float | None:
@@ -187,49 +137,53 @@ def _pole_in(coeffs, lo: float, hi: float) -> float | None:
 
     Q is given by its exact coefficients, lowest degree first; lo and hi
     count as the exact rationals they are, and hi may be inf.  The
-    decision is exact: Descartes' rule of signs on images of Q, with no
-    float root-finding.  An endpoint root shows as a zero end
-    coefficient of Q mapped onto [0, 1]."""
+    decision is exact and in integers, with no float root-finding: by
+    Sturm's theorem, Q has V(a) - V(b) distinct roots in (a, b], V(x)
+    being the sign changes of Q's Sturm sequence at x.  One bisection
+    of (lo, hi] keeps the half that holds the least root, until its
+    ends round to one float."""
     if lo >= 0.0 and coeffs[0] and _variations(c.numerator for c in coeffs) == 0:
         # No sign change and Q(0) != 0: no root in [0, inf).  This holds
         # for every denominator whose poles are all negative.
         return None
     q = _primitive(coeffs)
+    zero = None
+    if q[0] == 0:
+        # Strip the factor x^k; with 0 inside, search only [lo, 0], as
+        # bisecting toward 0, where floats are densest, takes ~1,100 steps.
+        q = q[next(k for k, c in enumerate(q) if c):]
+        if lo <= 0.0 <= hi:
+            zero = hi = 0.0
     if hi == math.inf:
         # Cauchy's bound: every root x of Q has |x| < hi.
         hi = 1 - (-max(map(abs, q[:-1]), default=0) // q[-1])
-        if hi <= lo:
-            return None
-    a = Fraction(lo)
-    b = Fraction(hi)
-    # [lo, hi] = [origin, origin + width] / denom, in integers.
-    denom = math.lcm(a.denominator, b.denominator)
-    origin = a.numerator * (denom // a.denominator)
-    width = b.numerator * (denom // b.denominator) - origin
-
-    def x_at(t: Fraction) -> Fraction:
-        return (origin + width * t) / denom
-
-    p = _to_unit(q, origin, width, denom)
-    if p[0] == 0:
+    a, b = Fraction(lo), Fraction(hi)
+    if _scaled_at(q, a) == 0:
         return lo
-    v = _unit_variations(p)
-    if v == 1:
-        # Exactly one root in (lo, hi), and a simple one.
-        return _nearest_float(q, a, b)
-    if v >= 2:
-        # A multiple root counts more than once; the square-free part
-        # has the same roots, each once, so bisection can isolate them.
-        sf = _square_free(q)
-        piece = _least_unit_root(_to_unit(sf, origin, width, denom))
-        if piece is not None:
-            t_lo, t_hi = piece
-            if t_lo == t_hi:
-                return _as_float(x_at(t_lo))
-            return _nearest_float(sf, x_at(t_lo), x_at(t_hi))
-    if sum(p) == 0:
-        return hi
-    return None
+    chain = _sturm(q)
+    va = _sturm_variations(chain, a)
+    if va <= _sturm_variations(chain, b):
+        return zero
+    # The least root lies in (a, b], and a is no root.
+    while True:
+        u, v = _as_float(a), _as_float(b)
+        if u == v:
+            return u
+        if math.nextafter(u, math.inf) == v < math.inf:
+            # Neighbours: the least root rounds to u below their midpoint
+            # m, to v above it, and to float(m) if it is m, the one root
+            # in (a, m].
+            m = (Fraction(u) + Fraction(v)) / 2
+            n = va - _sturm_variations(chain, m)
+            if n == 0:
+                return v
+            return float(m) if n == 1 and _scaled_at(q, m) == 0 else u
+        m = (a + b) / 2
+        vm = _sturm_variations(chain, m)
+        if vm < va:
+            b = m
+        else:
+            a, va = m, vm
 
 
 def quad_log(

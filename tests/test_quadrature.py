@@ -294,6 +294,47 @@ class TestExactPoleDecision:
                 assert f"pole at x = {nearest:.17g} inside" in str(exc.value)
         assert time.perf_counter() - start < 60.0
 
+    @pytest.mark.parametrize(
+        "den, lo, hi, pole",
+        [
+            # A repeated root on either end.
+            (Polynomial((-F(3, 2), 1)) ** 4, 1.0, 1.5, 1.5),
+            (Polynomial((-F(3, 2), 1)) ** 4, 1.5, 2.0, 1.5),
+            # A repeated root on the first bisection midpoint of [1, 3].
+            (Polynomial((-F(3, 2), 1)) ** 3 * Polynomial((-F(5, 4), 1)) ** 2, 1.0, 3.0, 1.25),
+            # A factor x^2, beside a root just below 0 and alone.
+            (Polynomial((0, 0, 1)) * Polynomial((F(1, 10**13), 1)), -1e-12, 1.0, -1e-13),
+            (Polynomial((0, 0, 1)), -1e-12, math.inf, 0.0),
+            # A constant, which has no derivative, and no root for the
+            # Cauchy bound to bound.
+            (Polynomial((5,)), -1e-12, math.inf, None),
+        ],
+    )
+    def test_edge_cases(self, den, lo, hi, pole):
+        assert _pole_in(den.coeffs, lo, hi) == pole
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("hi", [2.0, math.inf])
+    def test_least_of_two_roots_within_an_ulp(self, k, hi):
+        # r rounds down to u = 1 + 2^-52; the root m above it is the
+        # midpoint of u and 1 + 2^-51, and rounds up (to even).  The
+        # root 5 adds to the count of roots above u.
+        u = 1 + 2.0**-52
+        m = F(u) + F(1, 2**53)
+        r = F(u) + F(1, 2**54)
+        upper = Polynomial((-m, 1)) ** k * Polynomial((-5, 1))
+        assert float(m) > u and float(r) == u
+        assert _pole_in((upper * Polynomial((-r, 1))).coeffs, 1.0, hi) == u
+        assert _pole_in(upper.coeffs, 1.0, hi) == float(m)
+
+    @pytest.mark.parametrize("lo, hi", [(1 - 2e-12, 2.0), (-1e-12, math.inf)])
+    def test_high_degree_root_is_named(self, lo, hi):
+        # x^200 - 2: the float nearest 2^(1/200), as mpmath gives it.
+        den = Polynomial((-2,) + (0,) * 199 + (1,))
+        start = time.perf_counter()
+        assert _pole_in(den.coeffs, lo, hi) == 1.0034717485095028
+        assert time.perf_counter() - start < 10.0
+
 
 def test_symbolic_side_does_not_load_the_oracle_dependencies():
     # numpy and scipy are no runtime dependency; importing the package
@@ -364,6 +405,22 @@ def test_oracle_imports_no_symbolic_module():
     ours = _logint_imports("quadrature.py")
     assert ours <= {"logint.errors", "logint.poly", "logint.quadpack"}, sorted(ours)
     assert _logint_imports("quadpack.py") == set()
+
+
+def test_oracle_shares_no_polynomial_arithmetic(monkeypatch):
+    # The oracle reads Q's coefficients and does its own integer
+    # arithmetic on them, so it runs with Polynomial's arithmetic broken.
+    double = (ONE, Polynomial((-F(4, 3), 1)) ** 2)
+    rootless = (Polynomial((1, 2)), Polynomial((3, -1, 1)))
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle used Polynomial arithmetic")
+
+    for name in ("__divmod__", "__mul__", "derivative", "shift"):
+        monkeypatch.setattr(Polynomial, name, broken)
+    with pytest.raises(SingularInterior, match=r"x = 1\.3333333333333333 inside"):
+        quad_log(double, 0.7, F(47, 15))
+    assert quad_log(rootless, 0, 2).converged
 
 
 # scipy's message for each ier QUADPACK can return with a value.
