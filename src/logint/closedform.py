@@ -21,7 +21,8 @@ in six kinds, and an atom of any other shape is refused:
 An atom may hold factors that reduce (ln 1, ln q with q < 1, ln q ln q,
 Li2(0), Li2(-1)), but a ClosedForm is canonical by construction: it
 applies one rule per factor when it is built and merges duplicates, so
-two forms are equal exactly when their term dicts are.
+two forms are equal exactly when their term dicts are.  All arithmetic
+goes through ``combine``, which sums scalar multiples of forms.
 Numeric evaluation goes through ``evalf``.  Serialization to/from JSON
 is exact: coefficients and atom arguments travel as fraction strings.
 """
@@ -36,7 +37,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .dilog import dilog
 from .errors import DomainError
-from .poly import Scalar, exact, integer_at_least, positive
+from .poly import Scalar, exact, integer_at_least, join_signed, positive
 
 # One row per atom kind, in sort order: the JSON kind, the power of
 # pi^2, one (argument, power) pair of JSON field names per log factor
@@ -266,14 +267,6 @@ class ClosedForm:
                 acc[atom] = acc.get(atom, 0) + c
         self._terms: dict[Atom, Fraction] = {a: c for a, c in acc.items() if c}
 
-    @classmethod
-    def _of_canonical(cls, terms: dict[Atom, Fraction]) -> "ClosedForm":
-        # Every atom in ``terms`` is already reduced, so only zero
-        # coefficients have to go; the reduction is not run again.
-        form = object.__new__(cls)
-        form._terms = {a: c for a, c in terms.items() if c}
-        return form
-
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -290,12 +283,15 @@ class ClosedForm:
 
     @classmethod
     def combine(cls, parts: Iterable[tuple[Scalar, "ClosedForm"]]) -> "ClosedForm":
-        """sum_i c_i * form_i, accumulated in one dict and built once."""
+        """sum_i c_i * form_i, accumulated in one dict and built once; the
+        atoms are already reduced, so only zero coefficients have to go."""
         acc: dict[Atom, Fraction] = {}
         for scalar, form in parts:
             for atom, c in form._terms.items():
                 acc[atom] = acc.get(atom, 0) + scalar * c
-        return cls._of_canonical(acc)
+        out = object.__new__(cls)
+        out._terms = {a: c for a, c in acc.items() if c}
+        return out
 
     # -- inspection -----------------------------------------------------
 
@@ -320,25 +316,20 @@ class ClosedForm:
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        acc = dict(self._terms)
-        for atom, c in other._terms.items():
-            acc[atom] = acc.get(atom, 0) + c
-        return ClosedForm._of_canonical(acc)
+        return ClosedForm.combine(((1, self), (1, other)))
 
     def __sub__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        return self + (-other)
+        return ClosedForm.combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "ClosedForm":
-        return ClosedForm._of_canonical({a: -c for a, c in self._terms.items()})
+        return ClosedForm.combine(((-1, self),))
 
     def __mul__(self, scalar: Scalar) -> "ClosedForm":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return ClosedForm._of_canonical(
-            {a: c * scalar for a, c in self._terms.items()}
-        )
+        return ClosedForm.combine(((scalar, self),))
 
     __rmul__ = __mul__
 
@@ -410,17 +401,7 @@ class ClosedForm:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        items = self.terms()
-        if not items:
-            return "0"
-        parts: list[str] = []
-        for atom, c in items:
-            mag = _render_term(atom, abs(c))
-            if not parts:
-                parts.append(mag if c > 0 else "-" + mag)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + mag)
-        return " ".join(parts)
+        return join_signed((c, _render_term(atom, abs(c))) for atom, c in self.terms())
 
     def __repr__(self) -> str:
         return f"ClosedForm<{self}>"

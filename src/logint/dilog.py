@@ -15,8 +15,9 @@ summed at an argument in [-1/2, 1/2], reached by one of three routes:
 
                        with Li2(y) from one of the two routes above.
 
-The exact points 0 and -1 are returned directly.  Arguments above 1/2 are
-refused: every closed form produced by this library stays in that range.
+The exact point -1 is returned directly, and the series gives +0.0 with
+no error at 0.  Arguments above 1/2 are refused: every closed form
+produced by this library stays in that range.
 
 At a ratio of at most 1/2 the series reaches its relative cutoff of 1e-17
 within 46 terms, the most at x = +-1/2.  Each result carries an honest
@@ -59,8 +60,6 @@ def dilog(x: Union[float, int, Fraction]) -> DilogResult:
         shown = x if value == 0.5 else value
         raise DomainError(f"dilog argument must be <= 1/2, got {shown}")
     x = value
-    if x == 0.0:
-        return DilogResult(0.0, 0.0)
     if x == -1.0:
         return DilogResult(-PI_SQUARED / 12.0, _EPS)
     if x < -1.0:

@@ -126,11 +126,8 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def _parse_factor(sc: _Scanner) -> tuple[Fraction, int]:
-    """One ``(x +/- rational)`` factor with optional ^power."""
-    sc.skip_ws()
-    open_pos = sc.pos
-    if sc.take() != "(":
-        raise sc.error("expected '('", open_pos)
+    """One ``(x +/- rational)`` factor, its ``(`` already seen, with optional ^power."""
+    sc.take()
     if sc.peek() not in ("x", "X"):
         raise sc.error("expected 'x' inside factor")
     sc.take()

@@ -5,7 +5,8 @@ order with no trailing zeros; the zero polynomial is the empty tuple and
 reports degree -1.  All arithmetic is exact.  Floats are deliberately
 rejected as coefficients (a float that "looks like" 0.1 is not 1/10);
 numeric evaluation is still available by calling the polynomial with a
-float argument.
+float argument.  ``join_signed`` prints a sum of signed terms as
+``a - b + c``, for polynomials and closed forms alike.
 """
 
 from __future__ import annotations
@@ -98,11 +99,10 @@ class Polynomial:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
-        return NotImplemented
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
@@ -222,22 +222,25 @@ class Polynomial:
     # -- rendering ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            mag = _term_str(abs(c), k)
-            if not parts:
-                parts.append(mag if c > 0 else "-" + mag)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + mag)
-        return " ".join(parts)
+        terms = reversed(list(enumerate(self._coeffs)))
+        return join_signed((c, _term_str(abs(c), k)) for k, c in terms if c)
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
+
+
+def join_signed(pairs: Iterable[tuple[Fraction, str]]) -> str:
+    """The sum of signed terms as text, "a - b + c", or "0" if there is
+    none.  Each pair is a nonzero coefficient c and the text of its term
+    at magnitude |c|."""
+    parts: list[str] = []
+    for c, mag in pairs:
+        if parts:
+            parts.append("+" if c > 0 else "-")
+        elif c < 0:
+            mag = "-" + mag
+        parts.append(mag)
+    return " ".join(parts) or "0"
 
 
 def _term_str(c: Fraction, k: int) -> str:

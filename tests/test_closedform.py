@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from logint import (
+    Atom,
     ClosedForm,
     Dilog,
     DomainError,
@@ -48,6 +49,24 @@ class TestAtomValidation:
             Log(Fraction(10**10), 400).value()
         with pytest.raises(DomainError, match="beyond floating-point range"):
             Dilog(Fraction(-(10**400))).value()
+
+    @pytest.mark.parametrize(
+        "pi2, logs, d",
+        [
+            (2, (), None),
+            (0, ((2, 1), (3, 1), (5, 1)), None),
+            (1, (), Fraction(1, 3)),
+            (0, ((2, 2), (3, 1)), None),
+        ],
+        ids=["pi4", "three-logs", "pi2-dilog", "logpow-log"],
+    )
+    def test_product_of_no_kind_is_refused(self, pi2, logs, d):
+        with pytest.raises(DomainError, match="no atom kind"):
+            Atom(pi2, logs, d)
+
+    def test_term_must_hold_an_atom(self):
+        with pytest.raises(TypeError, match="expected an Atom"):
+            ClosedForm([("ln 2", 1)])
 
     def test_logprod_sorts_arguments(self):
         assert LogProd(Fraction(5), Fraction(2)) == LogProd(Fraction(2), Fraction(5))

@@ -35,9 +35,10 @@ FROZEN = {
 
 class TestPointValues:
     def test_zero_is_exact(self):
-        res = dilog(0)
-        assert res.value == 0.0
-        assert res.est_error == 0.0
+        for zero in (0, -0.0, Fraction(0)):
+            res = dilog(zero)
+            assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+            assert res.est_error == 0.0
 
     def test_minus_one_is_exact(self):
         res = dilog(-1)

@@ -50,6 +50,15 @@ def test_expanded_errors_carry_position():
     with pytest.raises(ParseError):
         parse_polynomial("3//4")
 
+    for text, pos, message in [
+        ("3/0x", 3, "zero denominator in rational literal"),
+        ("x/0", 3, "division by zero in term"),
+        ("3x 2", 3, "expected '+' or '-', found '2'"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert (info.value.pos, info.value.message) == (pos, message)
+
 
 def test_factored_basic():
     den = parse_factored("(x+1)(x+2)^2")
@@ -80,6 +89,9 @@ def test_factored_errors():
     for bad in ("(x+)", "(y+1)", "(x+1", "(x+1)^0", "()", "3", "(x+1)z"):
         with pytest.raises(ParseError):
             parse_factored(bad)
+    with pytest.raises(ParseError) as info:
+        parse_factored("(x*1)")
+    assert (info.value.pos, info.value.message) == (2, "expected '+' or '-' after x")
 
 
 def test_denominator_dispatch():

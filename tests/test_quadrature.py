@@ -159,6 +159,14 @@ class TestFailureModes:
         with pytest.raises(SingularInterior):
             quad_log(rational(ONE, Polynomial((-1, 1))), 1, math.inf)
 
+    @pytest.mark.parametrize("a", [1, 0])
+    def test_pole_beyond_float_range_is_named_inf(self, a):
+        # The pole 10^600 rounds to inf, and so does every bisection end
+        # above float range: the search stops where both ends are inf.
+        den = Polynomial((-(10**300), F(1, 10**300)))
+        with pytest.raises(SingularInterior, match=r"pole at x = inf inside"):
+            quad_log(rational(ONE, den), a, math.inf)
+
     # Exact values beyond float range are a domain error, not an
     # OverflowError from the float conversion.
     @pytest.mark.parametrize(

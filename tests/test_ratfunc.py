@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from logint import (
     rational_roots_factorize,
 )
 from logint.ratfunc import _divisors
+from specgen import random_spec
 
 
 def expand_roots(roots, remainder):
@@ -285,6 +287,44 @@ class TestPartialFractions:
             p2, q2 = frf.recompose()
             # P/Q == P2/Q2 as rational functions
             assert num * q2 == p2 * den.expand()
+
+    def test_matches_sympy_apart(self):
+        # A referee that shares no code with partial_fractions: sympy
+        # builds P/Q from the inputs' coefficients and factors and
+        # decomposes it; our terms, rebuilt in sympy, must cancel it.
+        # Every other case passes the denominator expanded, so that
+        # factor_denominator runs too.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def rat(c):
+            return sympy.Rational(c.numerator, c.denominator)
+
+        def poly(p):
+            return sum((rat(c) * x**k for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+        rng = random.Random(97)
+        cases = [(spec.numerator, spec.denominator) for spec in
+                 (random_spec(rng) for _ in range(40))]
+        for _ in range(20):
+            shifts = rng.sample([Fraction(k, 3) for k in range(1, 16)], rng.randint(1, 3))
+            den = FactoredDenominator(
+                constant=rng.choice([Fraction(1), Fraction(-2), Fraction(3, 5)]),
+                factors=tuple((s, rng.randint(1, 10)) for s in shifts),
+            )
+            degree = rng.randint(0, den.degree + 3)
+            cases.append((Polynomial([rng.randint(-20, 20) for _ in range(degree + 1)]), den))
+        start = time.perf_counter()
+        for i, (num, den) in enumerate(cases):
+            q = rat(den.constant) * sympy.Mul(*[(x + rat(s)) ** m for s, m in den.factors])
+            frf = partial_fractions(num, den.expand() if i % 2 else den)
+            ours = poly(frf.quotient) + sum(
+                rat(c) / (x + rat(pole.shift)) ** j
+                for pole in frf.poles
+                for j, c in enumerate(pole.residues, start=1)
+            )
+            assert sympy.cancel(sympy.apart(poly(num) / q, x) - ours) == 0, (num, den)
+        assert time.perf_counter() - start < 30.0
 
     def test_recompose_rejects_a_repeated_pole(self):
         pole = PoleTerm(shift=Fraction(1), residues=(Fraction(1),))
