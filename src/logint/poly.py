@@ -35,8 +35,10 @@ def positive(value: Scalar, what: str) -> Fraction:
 
 
 def integer_at_least(value: int, least: int, what: str) -> int:
-    """``value``, which must be an int >= ``least`` (DomainError if not)."""
-    if not isinstance(value, int) or value < least:
+    """``value``, which must be an int >= ``least`` (DomainError if not).
+
+    A bool is refused: True is an int to Python, not a count to a caller."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise DomainError(f"{what} must be an integer >= {least}")
     return value
 

@@ -1,8 +1,10 @@
 """Rational functions with exact partial-fraction decompositions.
 
 A denominator is kept as a product of linear factors (x + shift)^mult
-with distinct rational shifts, times a nonzero rational constant.  The
-decomposition of P/Q is
+with distinct rational shifts, times a nonzero rational constant.  It
+is multiplied out in integer arithmetic (`FactoredDenominator.expand`),
+because every decomposition and every factored denominator given to
+the numeric oracle pays for that expansion.  The decomposition of P/Q is
 
     P/Q = quotient(x) + sum over poles i, powers j of
           residues[i][j-1] / (x + shift_i)^j
@@ -55,10 +57,31 @@ class FactoredDenominator:
         object.__setattr__(self, "factors", tuple(norm))
 
     def expand(self) -> Polynomial:
-        out = Polynomial((self.constant,))
+        """The product multiplied out, in integers.
+
+        With each shift p/s in lowest terms,
+
+            c * prod (x + p/s)^m  =  (c / prod s^m) * prod (s x + p)^m ,
+
+        so the coefficients of prod (s x + p)^m are integers.  They are
+        built one linear factor at a time, a step that costs two integer
+        products per coefficient, and each is made a Fraction once, when
+        the scale c / prod s^m is applied.  A product of Fraction
+        polynomials would take a gcd per coefficient at every step.
+        """
+        f = [1]
+        scale = 1
         for shift, mult in self.factors:
-            out = out * Polynomial((shift, 1)) ** mult
-        return out
+            p, s = shift.numerator, shift.denominator
+            scale *= s**mult
+            for _ in range(mult):
+                # f * (s x + p): f_k <- p f_k + s f_(k-1), from the top down.
+                f.append(s * f[-1])
+                for k in range(len(f) - 2, 0, -1):
+                    f[k] = p * f[k] + s * f[k - 1]
+                f[0] *= p
+        c = self.constant / scale
+        return Polynomial([Fraction(c.numerator * a, c.denominator) for a in f])
 
     def pole_locations(self) -> tuple[Fraction, ...]:
         return tuple(-shift for shift, _ in self.factors)

@@ -114,6 +114,27 @@ class TestIntegrate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("factored, expanded", [
+        ("(x + 1/2)^3(x+2)", "x^4 + 7/2x^3 + 15/4x^2 + 13/8x + 1/4"),
+        ("-3/4*(x + 5/2)^2(x+3)", "-3/4x^3 - 6x^2 - 255/16x - 225/16"),
+    ])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_factored_and_expanded_denominators_print_the_same(
+        self, capsys, factored, expanded, json_flag
+    ):
+        # The factored --den is multiplied out by FactoredDenominator.expand
+        # for the oracle; the expanded one is parsed as it is written.
+        outputs = [
+            run_cli(
+                capsys,
+                "integrate", "--num", "x^2 - 3", "--den", den,
+                "--lower", "1/3", "--upper", "5", "--verify", *json_flag,
+            )
+            for den in (factored, expanded)
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     def test_rational_root_leaves_its_cofactor_with_the_constant(self, capsys):
         # 6x^3 + 3x^2 - 12x - 6 = (x + 1/2) * (6x^2 - 12): the factor
         # reported keeps the leading coefficient of the input.

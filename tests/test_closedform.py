@@ -37,6 +37,8 @@ class TestAtomValidation:
             Log(Fraction(2), 0)
         with pytest.raises(DomainError):
             Log(Fraction(-1), 2)
+        with pytest.raises(DomainError, match="log power must be an integer >= 1"):
+            Log(Fraction(2), True)
 
     def test_dilog_domain(self):
         with pytest.raises(DomainError):

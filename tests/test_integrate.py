@@ -548,6 +548,8 @@ class TestDriver:
             IntegralSpec(num, den, F(2), F(1))
         with pytest.raises(DomainError):
             IntegralSpec(num, den, F(0), F(1), log_power=0)
+        with pytest.raises(DomainError, match="log_power must be an integer >= 1"):
+            IntegralSpec(num, den, F(0), F(1), log_power=True)
         with pytest.raises(TypeError):
             IntegralSpec(num, den, 0.0, F(1))
 

@@ -212,7 +212,51 @@ class TestFactoredDenominator:
         with pytest.raises(ValueError):
             FactoredDenominator(constant=Fraction(1), factors=((Fraction(1), 0),))
 
-    @pytest.mark.parametrize("mult", [0, -1, 1.0, Fraction(2)])
+    @staticmethod
+    def _factor_sets():
+        """Seeded denominators for the expansion referees: no factors, a
+        zero shift, negative shifts, shifts with large numerators and
+        denominators, multiplicities up to 12, and negative or fractional
+        constants."""
+        rng = random.Random(41)
+        dens = [
+            FactoredDenominator(Fraction(-7, 3), ()),
+            FactoredDenominator(1, ((Fraction(0), 12),)),
+            FactoredDenominator(Fraction(5, 2), ((Fraction(0), 1), (Fraction(-1, 2), 3))),
+            FactoredDenominator(-1, ((Fraction(10**18 + 9, 10**15 + 37), 12),)),
+        ]
+        while len(dens) < 60:
+            shifts = dict.fromkeys(
+                Fraction(rng.randint(-(10**size), 10**size), rng.randint(1, 10**size))
+                for size in (rng.choice((1, 2, 2, 18)) for _ in range(rng.randint(0, 4)))
+            )
+            constant = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+            dens.append(FactoredDenominator(
+                constant, tuple((shift, rng.randint(1, 12)) for shift in shifts)
+            ))
+        return dens
+
+    def test_expand_matches_the_polynomial_product(self):
+        # The integer expansion against a product of Fraction polynomials.
+        for den in self._factor_sets():
+            ref = Polynomial((den.constant,))
+            for shift, mult in den.factors:
+                ref = ref * Polynomial((shift, 1)) ** mult
+            assert den.expand() == ref, den
+
+    def test_expand_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def rat(c):
+            return sympy.Rational(c.numerator, c.denominator)
+
+        for den in self._factor_sets():
+            q = sympy.expand(rat(den.constant) * sympy.Mul(*[(x + rat(s)) ** m for s, m in den.factors]))
+            theirs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(q, x).all_coeffs())]
+            assert list(den.expand().coeffs) == theirs, den
+
+    @pytest.mark.parametrize("mult", [0, -1, 1.0, Fraction(2), True])
     def test_bad_multiplicity_is_a_domain_error(self, mult):
         with pytest.raises(DomainError, match="factor multiplicity must be an integer >= 1"):
             FactoredDenominator(constant=1, factors=((Fraction(1), mult),))
