@@ -84,10 +84,11 @@ class Atom:
             d = exact(d, "Li2 argument")
             if d > Fraction(1, 2):
                 raise DomainError(f"Li2 argument must be <= 1/2, got {d}")
-        kind = _KIND_OF_SHAPE.get(_shape(self.pi2, logs, d))
-        if kind is None or not isinstance(self.pi2, int):
+        pi2 = integer_at_least(self.pi2, 0, "power of pi^2")
+        kind = _KIND_OF_SHAPE.get(_shape(pi2, logs, d))
+        if kind is None:
             raise DomainError(f"no atom kind is the product {self!r}")
-        _init(self, self.pi2, tuple(sorted(logs)), d, kind)
+        _init(self, pi2, tuple(sorted(logs)), d, kind)
 
     def __hash__(self) -> int:
         return self._hash

@@ -66,9 +66,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * integer_at_least(degree, 0, "degree") + (coeff,))
 
     # -- inspection ----------------------------------------------------
 
@@ -107,7 +105,10 @@ class Polynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # A constant equals its scalar, so it hashes as that scalar does.
+        if len(self._coeffs) > 1:
+            return hash(self._coeffs)
+        return hash(self.coeff(0))
 
     # -- ring operations ----------------------------------------------
 
@@ -156,8 +157,7 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        n = integer_at_least(n, 0, "exponent")
         result = Polynomial((1,))
         base = self
         while n:

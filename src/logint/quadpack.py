@@ -17,10 +17,21 @@ returns the same value, error estimate, evaluation count and ier that
 `scipy.integrate.quad(..., full_output=1)` returns, to the bit.  A
 branch keeps the Fortran's comparison, negated where the Fortran jumps
 past the code (`not (x > y)`, not `x <= y`), so a NaN takes the same
-branch.  Two changes of form: dqagse and dqagie, whose drivers differ
-only in their rule and interval, share one; and the integrand takes the
-list of a rule's nodes, in the Fortran's order of evaluation, and
-returns the list of values, so a rule costs one call of it.
+branch.  Three changes of form:
+
+- dqagse and dqagie, whose drivers differ only in their rule and
+  interval, share one;
+- dqk21 and dqk15i share one kernel: dqk21's 10-point Gauss rule has
+  a zero weight at each Kronrod-only node and at the centre, as
+  dqk15i's 7-point one has.  The bits stay: resg feeds only
+  |resk - resg|, to which a zero weight adds a signed zero while the
+  values and sums are finite; one that is not makes resk and resasc
+  non-finite too, and the error estimate then comes from resasc and
+  resabs alone.  dqagie's map onto (0, 1] wraps the integrand, so the
+  two rules differ only in their nodes;
+- the integrand takes the list of a rule's nodes, in the Fortran's
+  order of evaluation, and returns the list of values, so a rule costs
+  one call of it.
 
 This module depends on the standard library alone.
 """
@@ -36,8 +47,9 @@ UFLOW = sys.float_info.min  # d1mach(1)
 OFLOW = sys.float_info.max  # d1mach(2)
 _NOISE = UFLOW / (50.0 * EPMACH)
 
-# dqk21: the 21-point Kronrod nodes, and the weights of it and of the
-# 10-point Gauss rule, whose nodes are the Kronrod nodes of even index.
+# dqk21: the 21-point Kronrod nodes, the centre last, and the weights of
+# it and of the 10-point Gauss rule inside it, whose weights are zero at
+# the Kronrod-only nodes and at the centre.
 _XGK21 = (
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
@@ -64,23 +76,23 @@ _WGK21 = (
     0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
 )
-# dqk21 evaluates the Gauss pairs (odd index) before the Kronrod-only
-# ones: their nodes and weights in that order, and where each Kronrod
-# index falls in it.
-_PAIRS21 = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
-_XK21 = tuple(_XGK21[j] for j in _PAIRS21)
-_WK21 = tuple(_WGK21[j] for j in _PAIRS21)
-_ASC21 = tuple(_PAIRS21.index(j) for j in range(10))
 _WG10 = (
+    0.0,
     0.066671344308688137593568809893332,
+    0.0,
     0.149451349150580593145776339657697,
+    0.0,
     0.219086362515982043995534934228163,
+    0.0,
     0.269266719309996355091226921569469,
+    0.0,
     0.295524224714752870173892994651338,
+    0.0,
 )
 
 # dqk15i: the 15-point Kronrod rule and the 7-point Gauss rule inside it,
-# whose weights are zero at the Kronrod-only nodes.
+# whose weights are zero at the Kronrod-only nodes.  Its pairs are
+# evaluated in the order of the Kronrod index.
 _XGK15 = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
@@ -120,8 +132,64 @@ class QuadpackResult(NamedTuple):
     ier: int  # 0 converged; 1-5 QUADPACK's warnings; 6 invalid input
 
 
-def _rule_error(resk, resg, hlgth, resabs, resasc):
-    """The error estimate that ends dqk21 and dqk15i."""
+class _Rule(NamedTuple):
+    """A Gauss-Kronrod rule as the kernel sums it."""
+    x: tuple[float, ...]  # each node pair's abscissa, in order of evaluation
+    wgk: tuple[float, ...]  # each pair's Kronrod weight
+    wg: tuple[float, ...]  # each pair's Gauss weight, 0 if Kronrod-only
+    wgk_centre: float
+    wg_centre: float
+    asc: tuple[int, ...]  # the pairs in order of Kronrod index, as resasc sums them
+
+
+def _rule(xgk, wgk, wg, order):
+    """A _Rule from the Fortran's tables, indexed by Kronrod index with
+    the centre last, and the order in which its pairs are evaluated."""
+    return _Rule(
+        tuple(xgk[j] for j in order),
+        tuple(wgk[j] for j in order),
+        tuple(wg[j] for j in order),
+        wgk[-1],
+        wg[-1],
+        tuple(order.index(j) for j in range(len(order))),
+    )
+
+
+# dqk21 evaluates the Gauss pairs before the Kronrod-only ones.
+_QK21 = _rule(_XGK21, _WGK21, _WG10, (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+_QK15I = _rule(_XGK15, _WGK15, _WG7, tuple(range(7)))
+
+
+def _gauss_kronrod(rule, f, a, b):
+    """dqk21 or dqk15i: (result, abserr, resabs, resasc) of a rule on
+    [a, b].  f takes the nodes in one call, in the Fortran's order of
+    evaluation: the centre, then each pair centre -/+ hlgth * x."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    xs = [centr]
+    for x in rule.x:
+        absc = hlgth * x
+        xs += (centr - absc, centr + absc)
+    fx = f(xs)
+    fv1 = fx[1::2]
+    fv2 = fx[2::2]
+    fc = fx[0]
+    resg = rule.wg_centre * fc
+    resk = rule.wgk_centre * fc
+    resabs = abs(resk)
+    for fval1, fval2, wg, wgk in zip(fv1, fv2, rule.wg, rule.wgk):
+        fsum = fval1 + fval2
+        resg = resg + wg * fsum
+        resk = resk + wgk * fsum
+        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = rule.wgk_centre * abs(fc - reskh)
+    for i in rule.asc:
+        resasc = resasc + rule.wgk[i] * (abs(fv1[i] - reskh) + abs(fv2[i] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
         # resasc * min(1, ratio**1.5), without the OverflowError that a
@@ -130,78 +198,17 @@ def _rule_error(resk, resg, hlgth, resabs, resasc):
         abserr = resasc * ratio**1.5 if ratio < 1.0 else resasc
     if resabs > _NOISE:
         abserr = max((EPMACH * 50.0) * resabs, abserr)
-    return abserr
+    return result, abserr, resabs, resasc
 
 
-def _qk21(f, a, b):
-    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
-    # f takes the nodes in one call, in dqk21's order: the centre, then
-    # the Gauss pairs, then the Kronrod-only pairs.
-    xs = [centr]
-    for x in _XK21:
-        absc = hlgth * x
-        xs += (centr - absc, centr + absc)
-    fx = f(xs)
-    fv1 = fx[1::2]
-    fv2 = fx[2::2]
-    fc = fx[0]
-    resg = 0.0
-    resk = _WGK21[10] * fc
-    resabs = abs(resk)
-    for fval1, fval2, wg, wgk in zip(fv1, fv2, _WG10, _WK21):  # the Gauss pairs
-        fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + wgk * fsum
-        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
-    for fval1, fval2, wgk in zip(fv1[5:], fv2[5:], _WK21[5:]):  # the Kronrod-only pairs
-        fsum = fval1 + fval2
-        resk = resk + wgk * fsum
-        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK21[10] * abs(fc - reskh)
-    for i, wgk in zip(_ASC21, _WGK21):  # in the order of the Kronrod index
-        resasc = resasc + wgk * (abs(fv1[i] - reskh) + abs(fv2[i] - reskh))
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    return result, _rule_error(resk, resg, hlgth, resabs, resasc), resabs, resasc
+def _to_unit(f, bound):
+    """dqk15i's map of (bound, +inf) onto (0, 1]: with x = bound +
+    (1 - t)/t, the integral of f(x) dx is that of f(x) / t**2 dt."""
+    def mapped(ts):
+        fx = f([bound + (1.0 - t) / t for t in ts])
+        return [(fval / t) / t for fval, t in zip(fx, ts)]
 
-
-def _qk15i(f, boun, a, b):
-    """dqk15i: the 15-point rule on [a, b] within (0, 1], for the range
-    (boun, +inf)."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    # f takes the nodes in one call, in dqk15i's order, the centre first,
-    # each mapped onto (boun, +inf).
-    ts = [centr]
-    for x in _XGK15[:7]:
-        absc = hlgth * x
-        ts += (centr - absc, centr + absc)
-    fx = f([boun + (1.0 - t) / t for t in ts])
-    fvals = [(fval / t) / t for fval, t in zip(fx, ts)]
-    fv1 = fvals[1::2]
-    fv2 = fvals[2::2]
-    fc = fvals[0]
-    resg = _WG7[7] * fc
-    resk = _WGK15[7] * fc
-    resabs = abs(resk)
-    for fval1, fval2, wg, wgk in zip(fv1, fv2, _WG7, _WGK15):
-        fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + wgk * fsum
-        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK15[7] * abs(fc - reskh)
-    for fval1, fval2, wgk in zip(fv1, fv2, _WGK15):
-        resasc = resasc + wgk * (abs(fval1 - reskh) + abs(fval2 - reskh))
-    result = resk * hlgth
-    resasc = resasc * hlgth
-    resabs = resabs * hlgth
-    return result, _rule_error(resk, resg, hlgth, resabs, resasc), resabs, resasc
+    return mapped
 
 
 def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -340,13 +347,13 @@ def _ieee_div(x, y):
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def _bisect_and_extrapolate(rule, a, b, epsabs, epsrel, limit):
-    """The driver of dqagse and dqagie.  rule(lo, hi) returns (result,
-    abserr, resabs, resasc) on [lo, hi].  Returns (result, abserr, last,
-    ier), last being the number of subintervals."""
+def _bisect_and_extrapolate(rule, f, a, b, epsabs, epsrel, limit):
+    """The driver of dqagse and dqagie: f integrated over [a, b] by the
+    _Rule rule.  Returns (result, abserr, last, ier), last being the
+    number of subintervals."""
     # First approximation to the integral.  As in dqagse, defabs is the
     # rule's resabs and resabs its resasc.
-    result, abserr, defabs, resabs = rule(a, b)
+    result, abserr, defabs, resabs = _gauss_kronrod(rule, f, a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     last = 1
@@ -396,8 +403,8 @@ def _bisect_and_extrapolate(rule, a, b, epsabs, epsrel, limit):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
+        area1, error1, _, defab1 = _gauss_kronrod(rule, f, a1, b1)
+        area2, error2, _, defab2 = _gauss_kronrod(rule, f, a2, b2)
 
         area12 = area1 + area2
         erro12 = error1 + error2
@@ -544,10 +551,17 @@ def _bisect_and_extrapolate(rule, a, b, epsabs, epsrel, limit):
     return result, abserr, last, ier
 
 
-def _invalid(epsabs, epsrel, limit):
-    """QUADPACK's ier = 6: no subinterval allowed, or a tolerance that
-    cannot be met."""
-    return limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 0.5e-28))
+def _quad(rule, f, a, b, epsabs, epsrel, limit):
+    """dqagse and dqagie around their shared driver, with QUADPACK's
+    ier = 6 for no subinterval allowed or a tolerance that cannot be met,
+    and its count of evaluations."""
+    if limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 0.5e-28)):
+        return QuadpackResult(0.0, 0.0, 0, 6)
+    result, abserr, last, ier = _bisect_and_extrapolate(
+        rule, f, a, b, epsabs, epsrel, limit
+    )
+    npts = 2 * len(rule.x) + 1
+    return QuadpackResult(result, abserr, 2 * npts * last - npts, ier)
 
 
 def qags(
@@ -562,12 +576,7 @@ def qags(
     """dqagse: integrate f over the finite range [a, b] to within
     max(epsabs, epsrel * |value|), with at most `limit` subintervals.
     f maps a list of nodes to the list of the integrand's values."""
-    if _invalid(epsabs, epsrel, limit):
-        return QuadpackResult(0.0, 0.0, 0, 6)
-    result, abserr, last, ier = _bisect_and_extrapolate(
-        lambda lo, hi: _qk21(f, lo, hi), a, b, epsabs, epsrel, limit
-    )
-    return QuadpackResult(result, abserr, 42 * last - 21, ier)
+    return _quad(_QK21, f, a, b, epsabs, epsrel, limit)
 
 
 def qagi(
@@ -581,9 +590,4 @@ def qagi(
     """dqagie with inf = 1: integrate f over (bound, +inf) to within
     max(epsabs, epsrel * |value|), with at most `limit` subintervals.
     f maps a list of nodes to the list of the integrand's values."""
-    if _invalid(epsabs, epsrel, limit):
-        return QuadpackResult(0.0, 0.0, 0, 6)
-    result, abserr, last, ier = _bisect_and_extrapolate(
-        lambda lo, hi: _qk15i(f, bound, lo, hi), 0.0, 1.0, epsabs, epsrel, limit
-    )
-    return QuadpackResult(result, abserr, 30 * last - 15, ier)
+    return _quad(_QK15I, _to_unit(f, bound), 0.0, 1.0, epsabs, epsrel, limit)

@@ -232,8 +232,8 @@ def quad_log(
             f"integrand has a pole at x = {pole:.17g} inside [{a:g}, {b:g}]"
         )
 
-    def f(xs: list[float], log_weighted: bool = False) -> list[float]:
-        """P(x)/Q(x) at each node, times (ln x)^m if log_weighted."""
+    def rational(xs: list[float]) -> list[float]:
+        """P(x)/Q(x) at each node."""
         out = []
         for x in xs:
             # Horner's rule in the order of Polynomial.__call__, so the
@@ -245,7 +245,7 @@ def quad_log(
             for c in den_coeffs:
                 q = q * x + c
             try:
-                fx = p / q
+                out.append(p / q)
             except ZeroDivisionError:
                 # Safety code: the exact test leaves no pole in [a, b],
                 # but Q's float value can still be 0.0 at a node, by
@@ -253,11 +253,10 @@ def quad_log(
                 raise SingularInterior(
                     f"integrand has a pole at x = {x:.17g} inside [{a:g}, {b:g}]"
                 ) from None
-            out.append(fx * math.log(x) ** m if log_weighted else fx)
         return out
 
     def log_weighted(xs: list[float]) -> list[float]:
-        return f(xs, True)
+        return [fx * math.log(x) ** m for fx, x in zip(rational(xs), xs)]
 
     tail_bound = 0.0
     if a == 0.0 and m >= 1:
@@ -269,7 +268,7 @@ def quad_log(
             if u_cut <= u0:  # b < e^-40: the range starts past this cut
                 continue
             samples = [math.exp(-u_cut), math.exp(-2.0 * u_cut), 0.0]
-            c_bound = 1.5 * max(map(abs, f(samples)))
+            c_bound = 1.5 * max(map(abs, rational(samples)))
             bound = c_bound * _upper_incomplete_gamma(m, u_cut)
             if bound <= tol / 10.0:
                 cut = u_cut
@@ -280,7 +279,7 @@ def quad_log(
 
         def transformed(us: list[float]) -> list[float]:
             xs = [math.exp(-u) for u in us]
-            return [fx * (-u) ** m * x for fx, u, x in zip(f(xs), us, xs)]
+            return [fx * (-u) ** m * x for fx, u, x in zip(rational(xs), us, xs)]
 
         pieces = [(transformed, u0, cut)]
         if b > 1.0:

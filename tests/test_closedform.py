@@ -66,6 +66,11 @@ class TestAtomValidation:
         with pytest.raises(DomainError, match="no atom kind"):
             Atom(pi2, logs, d)
 
+    def test_pi2_must_be_an_integer(self):
+        for bad in (True, 1.0, -1):
+            with pytest.raises(DomainError, match="power of pi\\^2 must be an integer >= 0"):
+                Atom(pi2=bad)
+
     def test_term_must_hold_an_atom(self):
         with pytest.raises(TypeError, match="expected an Atom"):
             ClosedForm([("ln 2", 1)])

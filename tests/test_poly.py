@@ -59,6 +59,18 @@ def test_constructors():
     assert Polynomial.monomial(3, 2).degree == 3
     with pytest.raises(ValueError):
         Polynomial.monomial(-1)
+    with pytest.raises(DomainError, match="degree must be an integer >= 0"):
+        Polynomial.monomial(True)
+
+
+def test_constant_hashes_as_its_scalar():
+    # A constant equals its scalar, so a set or dict must find one by
+    # the other.
+    assert Polynomial((5,)) == 5 and hash(Polynomial((5,))) == hash(5)
+    assert hash(Polynomial((Fraction(1, 3),))) == hash(Fraction(1, 3))
+    assert hash(Polynomial()) == hash(0)
+    assert 5 in {Polynomial((5,))}
+    assert Polynomial() in {0}
 
 
 def test_arithmetic_identities_random():
@@ -116,6 +128,8 @@ def test_pow():
     assert x1**3 == Polynomial((1, 3, 3, 1))
     with pytest.raises(ValueError):
         x1**-1
+    with pytest.raises(DomainError, match="exponent must be an integer >= 0"):
+        x1**True
 
 
 def test_exactness_with_huge_components():
