@@ -162,8 +162,13 @@ def Dilog(q: Scalar) -> Atom:
 
 def _log_fraction(q: Fraction) -> float:
     # ln(p/q) via two integer logs keeps precision for extreme fractions
-    # where float(q) would overflow or underflow.
-    return math.log(q.numerator) - math.log(q.denominator)
+    # where float(q) would overflow or underflow.  Near q = 1 the two logs
+    # cancel, so there it is log1p of (p - q)/q, an integer quotient that
+    # Python rounds correctly.
+    v = math.log(q.numerator) - math.log(q.denominator)
+    if abs(v) < 2.0**-10:
+        return math.log1p((q.numerator - q.denominator) / q.denominator)
+    return v
 
 
 def _reduce(atom: Atom, c: Fraction) -> Optional[tuple[Atom, Fraction]]:

@@ -28,7 +28,8 @@ distinct real roots in any interval, and one bisection by that count,
 which names the pole.  Coefficients or bounds beyond float range raise
 DomainError; a tail that cannot be bounded raises NoConvergence.
 QUADPACK's subinterval limit bounds the work; a piece that reaches it
-short of the tolerance is not converged.
+short of the tolerance is not converged, and neither is a value that is
+not finite.
 
 QUADPACK's QAGS (finite ranges) and QAGI ([a, inf)) run in-tree, from
 `logint.quadpack`; the tests referee that port against
@@ -298,7 +299,7 @@ def quad_log(
     value = math.fsum(out.value for out in outs)
     err = math.fsum(out.abserr for out in outs) + tail_bound
     clean = all(out.ier == 0 for out in outs)
-    converged = clean and err <= max(tol, 1e-12 * abs(value))
+    converged = clean and math.isfinite(value) and err <= max(tol, 1e-12 * abs(value))
     return QuadResult(
         value=value,
         abs_error_estimate=err,

@@ -16,10 +16,9 @@ each pole followed by a truncated power-series division.
 An expanded denominator is split into its rational linear factors first
 (`rational_roots_factorize`), in integer arithmetic on the primitive
 integer multiple f of q.  Candidates p/s come from the rational root
-theorem, and a candidate is dropped unless (s - p) | f(1) and
-(s + p) | f(-1).  A survivor is confirmed by an integer sum and divided
-out of f by integral synthetic division.  Roots are returned with 0
-first, then in ascending order.
+theorem, and each is decided by dividing it out of f (`_divide_out`):
+one integral synthetic division is at once the root test and the
+deflation.  Roots are returned with 0 first, then in ascending order.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import NonRationalPole, PoleCollision, ZeroDenominator
 from .poly import Polynomial, exact, integer_at_least
@@ -115,28 +114,22 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _vanishes_at(f: list[int], p: int, s: int) -> bool:
-    """Whether p/s is a root of f (ascending integer coefficients), from
-    the integer sum  sum_k f_k p^k s^(n-k) = s^n f(p/s)."""
-    acc, s_pow = 0, 1
-    for c in reversed(f):
-        acc = acc * p + c * s_pow
-        s_pow *= s
-    return acc == 0
+def _divide_out(f: list[int], p: int, s: int) -> Optional[list[int]]:
+    """f / (s x - p) for ascending integer coefficients f and p/s in
+    lowest terms, or None if p/s is not a root of f.
 
-
-def _deflate(f: list[int], p: int, s: int) -> list[int]:
-    """f / (s x - p) for a root p/s of f in lowest terms, by synthetic
-    division.
-
-    Gauss's lemma: (s x - p) is primitive and divides f over Q, so the
-    quotient has integer coefficients and every division is exact.
+    The quotient g is built from the top, g_(k-1) = (f_k + p g_k) / s.
+    Gauss's lemma: (s x - p) is primitive, so p/s is a root exactly when
+    every step divides and the remainder f_0 + p g_0 is zero.
     """
     g = [0] * (len(f) - 1)
-    g[-1] = f[-1] // s
-    for k in range(len(g) - 1, 0, -1):
-        g[k - 1] = (f[k] + p * g[k]) // s
-    return g
+    acc = f[-1]
+    for k in range(len(g), 0, -1):
+        g[k - 1], r = divmod(acc, s)
+        if r:
+            return None
+        acc = f[k - 1] + p * g[k - 1]
+    return g if acc == 0 else None
 
 
 def rational_roots_factorize(
@@ -153,10 +146,8 @@ def rational_roots_factorize(
     roots follow in ascending order.  The search runs on the primitive
     integer multiple f of what is left, in integers only.  By the
     rational root theorem a root is p/s in lowest terms with p | f(0)
-    and s | lead(f); such a candidate survives only when (s - p) | f(1)
-    and (s + p) | f(-1), since f = (s x - p) g with g integral.  A
-    survivor is confirmed by the integer sum  sum_k f_k p^k s^(n-k) = 0
-    and divided out of f by synthetic division, as often as it divides.
+    and s | lead(f); each candidate is divided out of f by synthetic
+    division as often as it divides.
     The remainder is the exact rational multiple of the final integer
     cofactor whose leading coefficient is lead(q).
     """
@@ -183,20 +174,14 @@ def rational_roots_factorize(
         for p in (p_abs, -p_abs)
     )
     found: list[tuple[Fraction, int]] = []
-    f1, fm1 = sum(f), sum(f[0::2]) - sum(f[1::2])  # f(1), f(-1)
     for p, s in candidates:
         if len(f) == 1:
             break
-        # s - p == 0 (the root 1) or s + p == 0 (the root -1): no test.
-        if (s - p and f1 % (s - p)) or (s + p and fm1 % (s + p)):
-            continue
         mult = 0
-        while len(f) > 1 and _vanishes_at(f, p, s):
-            f = _deflate(f, p, s)
-            mult += 1
+        while (g := _divide_out(f, p, s)) is not None:
+            f, mult = g, mult + 1
         if mult:
             found.append((Fraction(p, s), mult))
-            f1, fm1 = sum(f), sum(f[0::2]) - sum(f[1::2])
 
     found.sort()
     roots = ([(Fraction(0), k)] if k else []) + found
@@ -234,9 +219,17 @@ class FactoredRationalFunction:
 
     def recompose(self) -> tuple[Polynomial, Polynomial]:
         """Return (P, Q) with self == P/Q and Q the monic denominator;
-        two poles with one shift raise PoleCollision."""
+        two poles with one shift raise PoleCollision.
+
+        Q is multiplied out as a product of Fraction polynomials, not by
+        `FactoredDenominator.expand`, so that a recomposition test does
+        not share the expansion of the route it checks.
+        """
         factors = tuple((pole.shift, len(pole.residues)) for pole in self.poles)
-        q = FactoredDenominator(1, factors).expand()
+        FactoredDenominator(1, factors)  # a repeated shift raises PoleCollision
+        q = Polynomial.constant(1)
+        for shift, mult in factors:
+            q = q * Polynomial((shift, 1)) ** mult
         p = self.quotient * q
         for pole in self.poles:
             mult = len(pole.residues)

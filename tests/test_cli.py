@@ -230,6 +230,16 @@ class TestNumericOnly:
             assert out == "value: 1\nerror-estimate: 0.25\nevaluations: 840\n"
         assert err == "error: oracle did not converge (error estimate 0.25)\n"
 
+    def test_infinite_value_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--num", str(10**308), "--den", "1",
+            "--lower", "1", "--upper", "10",
+        )
+        assert code == 2
+        assert out.startswith("value: inf\n")
+        assert err == "error: oracle did not converge (error estimate inf)\n"
+
     def test_irrational_pole_inside_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -195,6 +195,16 @@ class TestArithmetic:
         cf = ClosedForm({Log(Fraction(2)): Fraction(1), UNIT: Fraction(-1)})
         assert cf.evalf() == pytest.approx(-0.3068528194400547, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "q", [Fraction(10**8 + 1, 10**8), Fraction(10**8 - 1, 10**8), Fraction(10**15 + 1, 10**15)]
+    )
+    def test_evalf_of_a_log_near_one_keeps_its_digits(self, q):
+        # ln q as ln p - ln s cancels near q = 1: at 1 + 10^-15 it gave 0.0.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.mpf(q.numerator) / q.denominator))
+        assert ClosedForm.of(Log(q)).evalf() == pytest.approx(ref, rel=1e-15, abs=0)
+
     def test_evalf_of_zero(self):
         assert ClosedForm.zero().evalf() == 0.0
 

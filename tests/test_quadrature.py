@@ -182,6 +182,12 @@ class TestFailureModes:
         with pytest.raises(DomainError, match="beyond floating-point range"):
             quad_log(rational(ONE, Polynomial((1, 1))), 1, F(10**400))
 
+    def test_infinite_value_is_not_converged(self):
+        # The sum overflows; inf <= max(tol, 1e-12 * inf) must not pass.
+        res = quad_log(rational(Polynomial((10**308,)), ONE), 1, 10)
+        assert res.value == math.inf
+        assert not res.converged
+
     def test_non_converged_run_does_bounded_work(self):
         # QUADPACK's QAGS starts with one 21-point Gauss-Kronrod rule and
         # each bisection adds two more, so with limit=200 subintervals a
@@ -360,6 +366,21 @@ def test_symbolic_side_does_not_load_the_oracle_dependencies():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_source_imports_only_the_standard_library():
+    # logint has no runtime dependency: every absolute import in src, at
+    # any depth, names a standard-library module.
+    src = Path(__file__).resolve().parent.parent / "src" / "logint"
+    imported = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, a.name.split(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert imported
+    assert sorted(i for i in imported if i[1] not in sys.stdlib_module_names) == []
 
 
 def test_oracle_runs_without_scipy():
