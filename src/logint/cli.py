@@ -30,6 +30,7 @@ from .dilog import dilog
 from .errors import DomainError, NoConvergence
 from .integrate import IntegralSpec, integrate_rational_log
 from .parsing import ParseError, parse_denominator, parse_polynomial, parse_rational
+from .poly import Polynomial
 from .quadrature import quad_log
 from .ratfunc import FactoredDenominator
 from .unimodal import coeff_report
@@ -95,13 +96,38 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _print_json(document: dict) -> None:
+    """Print one JSON document on a line: every --json output and every
+    verify-batch record goes through here.
+
+    JSON has no token for inf or nan, so a non-finite float field is
+    written as null.  Floats appear only as top-level fields; should one
+    nested deeper be non-finite, ``allow_nan=False`` raises rather than
+    print a document that is not JSON.
+    """
+    print(json.dumps({
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in document.items()
+    }, allow_nan=False))
+
+
 def _read_integrand(num_text: str, den_text: str):
     """Parse --num and --den: the numerator, the denominator as written
-    (factored or not), and the denominator expanded for the oracle."""
+    (factored or not), and the denominator expanded for the oracle.
+
+    A factored denominator c * prod (x + s)^m is multiplied out here as a
+    product of Polynomials, not by `FactoredDenominator.expand`, which
+    the closed form's route uses, so that the oracle does not share the
+    expansion it checks.
+    """
     numerator = parse_polynomial(num_text)
     denominator = parse_denominator(den_text)
     if isinstance(denominator, FactoredDenominator):
-        return numerator, denominator, denominator.expand()
+        expanded = Polynomial.constant(denominator.constant)
+        for shift, mult in denominator.factors:
+            for _ in range(mult):  # one linear factor at a time: cheaper than **
+                expanded = expanded * Polynomial((shift, 1))
+        return numerator, denominator, expanded
     return numerator, denominator, denominator
 
 
@@ -171,12 +197,12 @@ def _cmd_numeric_only(args: argparse.Namespace) -> int:
         # there is no value for this input, so it is a domain error.
         raise DomainError(str(exc)) from exc
     if args.json:
-        print(json.dumps({
+        _print_json({
             "value": result.value,
             "abs_error_estimate": result.abs_error_estimate,
             "evaluations": result.evaluations,
             "converged": result.converged,
-        }))
+        })
     else:
         print(f"value: {_fmt(result.value)}")
         print(f"error-estimate: {result.abs_error_estimate:.3g}")
@@ -199,7 +225,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         args.power, args.verify, args.tol,
     )
     if args.json:
-        print(json.dumps(result))
+        _print_json(result)
     else:
         print(f"closed-form: {result['closed_form']}")
         print(f"value: {_fmt(result['value'])}")
@@ -214,7 +240,7 @@ def _cmd_dilog(args: argparse.Namespace) -> int:
     x = parse_rational(args.x)
     result = dilog(x)
     if args.json:
-        print(json.dumps({"x": str(x), "value": result.value, "est_error": result.est_error}))
+        _print_json({"x": str(x), "value": result.value, "est_error": result.est_error})
     else:
         print(f"Li2({x}) = {_fmt(result.value)}")
         print(f"est-error: {result.est_error:.3g}")
@@ -224,7 +250,7 @@ def _cmd_dilog(args: argparse.Namespace) -> int:
 def _cmd_unimodal(args: argparse.Namespace) -> int:
     report = coeff_report(args.n, args.family)
     if args.json:
-        print(json.dumps(report.to_json_dict()))
+        _print_json(report.to_json_dict())
         return EXIT_OK
     print(f"family: {report.family}, n = {report.n}")
     print(f"coeffs: {', '.join(str(c) for c in report.coeffs) or '0'}")
@@ -275,7 +301,7 @@ def _cmd_verify_batch(args: argparse.Namespace) -> int:
                 record["kind"] = "mismatch"
                 code = EXIT_VERIFY
         worst = max(worst, code)
-        print(json.dumps(record))
+        _print_json(record)
         index += 1
     return worst
 

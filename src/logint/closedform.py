@@ -21,7 +21,7 @@ in six kinds, and an atom of any other shape is refused:
 An atom may hold factors that reduce (ln 1, ln q with q < 1, ln q ln q,
 Li2(0), Li2(-1)), but a ClosedForm is canonical by construction: it
 applies one rule per factor when it is built and merges duplicates, so
-two forms are equal exactly when their term dicts are.  All arithmetic
+two forms are equal exactly when their term tuples are.  All arithmetic
 goes through ``combine``, which sums scalar multiples of forms.
 Numeric evaluation goes through ``evalf``.  Serialization to/from JSON
 is exact: coefficients and atom arguments travel as fraction strings.
@@ -103,9 +103,6 @@ class Atom:
         if self.dilog is not None:
             v *= dilog(self.dilog).value
         return v
-
-    def sort_key(self) -> tuple:
-        return (self._kind, self.logs, self.dilog)
 
     def to_json_dict(self) -> dict:
         kind, _, fields, dilog_field = _KINDS[self._kind]
@@ -253,6 +250,13 @@ def atom_from_json_dict(d: Mapping) -> Atom:
     return atom
 
 
+def _canonical_terms(acc: Mapping[Atom, Fraction]) -> tuple[tuple[Atom, Fraction], ...]:
+    # The stored form of a sum of reduced atoms: its nonzero terms, sorted
+    # once here by atom kind, then logs, then dilog.
+    nonzero = [(a, c) for a, c in acc.items() if c]
+    return tuple(sorted(nonzero, key=lambda t: (t[0]._kind, t[0].logs, t[0].dilog)))
+
+
 class ClosedForm:
     """Finite rational combination of atoms, canonical by construction."""
 
@@ -271,7 +275,7 @@ class ClosedForm:
             if c and (term := _reduce(atom, c)):
                 atom, c = term
                 acc[atom] = acc.get(atom, 0) + c
-        self._terms: dict[Atom, Fraction] = {a: c for a, c in acc.items() if c}
+        self._terms = _canonical_terms(acc)
 
     # -- constructors ---------------------------------------------------
 
@@ -293,10 +297,10 @@ class ClosedForm:
         atoms are already reduced, so only zero coefficients have to go."""
         acc: dict[Atom, Fraction] = {}
         for scalar, form in parts:
-            for atom, c in form._terms.items():
+            for atom, c in form._terms:
                 acc[atom] = acc.get(atom, 0) + scalar * c
         out = object.__new__(cls)
-        out._terms = {a: c for a, c in acc.items() if c}
+        out._terms = _canonical_terms(acc)
         return out
 
     # -- inspection -----------------------------------------------------
@@ -309,13 +313,12 @@ class ClosedForm:
         return bool(self._terms)
 
     def terms(self) -> tuple[tuple[Atom, Fraction], ...]:
-        """Term list in a deterministic (atom sort key) order."""
-        return tuple(
-            sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-        )
+        """The nonzero terms in canonical order: atom kind, then logs,
+        then dilog."""
+        return self._terms
 
     def atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for a, _ in self.terms())
+        return tuple(a for a, _ in self._terms)
 
     # -- linear algebra ---------------------------------------------------
 
@@ -358,7 +361,7 @@ class ClosedForm:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self._terms)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -366,7 +369,7 @@ class ClosedForm:
         """Numeric value; exactly-rounded sum of the term values.  A
         coefficient, term or sum beyond float range is a DomainError."""
         try:
-            terms = [float(c) * atom.value() for atom, c in self.terms()]
+            terms = [float(c) * atom.value() for atom, c in self._terms]
             if all(map(math.isfinite, terms)):
                 value = math.fsum(terms)
                 if math.isfinite(value):
@@ -381,7 +384,7 @@ class ClosedForm:
         return {
             "terms": [
                 {"atom": atom.to_json_dict(), "coeff": str(c)}
-                for atom, c in self.terms()
+                for atom, c in self._terms
             ]
         }
 
@@ -407,7 +410,7 @@ class ClosedForm:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        return join_signed((c, _render_term(atom, abs(c))) for atom, c in self.terms())
+        return join_signed((c, _render_term(atom, abs(c))) for atom, c in self._terms)
 
     def __repr__(self) -> str:
         return f"ClosedForm<{self}>"

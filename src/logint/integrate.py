@@ -234,6 +234,15 @@ class IntegralSpec:
     log_power: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.numerator, Polynomial):
+            raise TypeError(
+                f"numerator must be a Polynomial, got {type(self.numerator).__name__}"
+            )
+        if not isinstance(self.denominator, (Polynomial, FactoredDenominator)):
+            raise TypeError(
+                "denominator must be a Polynomial or FactoredDenominator, "
+                f"got {type(self.denominator).__name__}"
+            )
         lower = exact(self.lower, "lower limit")
         upper = exact(self.upper, "upper limit")
         if lower < 0:

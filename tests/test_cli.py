@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from logint import ClosedForm, IntegralSpec, Polynomial, integrate_rational_log
+from logint import (
+    ClosedForm,
+    FactoredDenominator,
+    IntegralSpec,
+    Polynomial,
+    integrate_rational_log,
+)
 from logint.cli import _VALUE_FLAGS, build_parser, main
 from logint.quadrature import QuadResult
 
@@ -23,6 +30,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def double_the_expansion(monkeypatch):
+    """Make FactoredDenominator.expand, which the closed form's route uses,
+    return 2 Q: a route fault that halves every closed form."""
+    expand = FactoredDenominator.expand
+    monkeypatch.setattr(FactoredDenominator, "expand", lambda self: 2 * expand(self))
 
 
 class TestIntegrate:
@@ -122,8 +144,8 @@ class TestIntegrate:
     def test_factored_and_expanded_denominators_print_the_same(
         self, capsys, factored, expanded, json_flag
     ):
-        # The factored --den is multiplied out by FactoredDenominator.expand
-        # for the oracle; the expanded one is parsed as it is written.
+        # The factored --den is multiplied out for the oracle as a product
+        # of Polynomials; the expanded one is parsed as it is written.
         outputs = [
             run_cli(
                 capsys,
@@ -134,6 +156,17 @@ class TestIntegrate:
         ]
         assert outputs[0][0] == 0
         assert outputs[0] == outputs[1]
+
+    def test_oracle_does_not_share_the_expansion_of_the_route(self, capsys, monkeypatch):
+        double_the_expansion(monkeypatch)
+        code, out, _ = run_cli(
+            capsys,
+            "integrate", "--num", "1", "--den", "(x+1)(x+2)",
+            "--lower", "0", "--upper", "1", "--verify",
+        )
+        assert "closed-form: -(1/24)*pi^2 - (1/2)*Li2(-1/2)" in out
+        assert "verified: MISMATCH" in out
+        assert code == 3
 
     def test_rational_root_leaves_its_cofactor_with_the_constant(self, capsys):
         # 6x^3 + 3x^2 - 12x - 6 = (x + 1/2) * (6x^2 - 12): the factor
@@ -238,6 +271,18 @@ class TestNumericOnly:
         )
         assert code == 2
         assert out.startswith("value: inf\n")
+        assert err == "error: oracle did not converge (error estimate inf)\n"
+
+    def test_infinite_value_prints_valid_json(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--json", "--num", str(10**308), "--den", "1",
+            "--lower", "1", "--upper", "10",
+        )
+        assert code == 2
+        doc = strict_json(out)
+        assert doc["value"] is None and doc["abs_error_estimate"] is None
+        assert doc["converged"] is False
         assert err == "error: oracle did not converge (error estimate inf)\n"
 
     def test_irrational_pole_inside_exits_2(self, capsys):
@@ -428,6 +473,33 @@ class TestVerifyBatch:
             assert "beyond floating-point range" in bad["error"]
         assert records[2]["ok"] is True
         assert code == 2
+
+    def test_non_finite_oracle_value_is_written_as_null(self, capsys, monkeypatch):
+        def fake_quad(*args, **kwargs):
+            return QuadResult(
+                value=math.inf, abs_error_estimate=math.inf, evaluations=21, converged=False
+            )
+
+        monkeypatch.setattr("logint.cli.quad_log", fake_quad)
+        job = {"num": "1", "den": "(x+1)", "lower": "0", "upper": "1"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job) + "\n"))
+        code = main(["verify-batch"])
+        record = strict_json(capsys.readouterr().out)
+        assert record["oracle"] is None and record["abs_diff"] is None
+        assert record["ok"] is False and record["kind"] == "mismatch"
+        assert code == 3
+
+    def test_oracle_does_not_share_the_expansion_of_the_route(self, capsys, monkeypatch):
+        double_the_expansion(monkeypatch)
+        jobs = [
+            {"num": "1", "den": "(x+1)(x+2)", "lower": "0", "upper": "1"},
+            {"num": "1", "den": "x^2+3x+2", "lower": "0", "upper": "1"},
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(j) + "\n" for j in jobs)))
+        code = main(["verify-batch"])
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [(r["ok"], r["kind"]) for r in records] == [(False, "mismatch")] * 2
+        assert code == 3
 
     def test_malformed_jobs_do_not_abort_the_batch(self, capsys, tmp_path):
         good = json.dumps({"num": "1", "den": "(x+1)", "lower": "0", "upper": "1"})

@@ -186,6 +186,38 @@ class TestCanonical:
                 cf.evalf(), raw_value(terms), rel_tol=1e-12, abs_tol=1e-12
             )
 
+    def test_equal_forms_share_terms_hash_and_text(self):
+        # One term of each kind, listed out of canonical order; ln(1/3)
+        # with -1/2 reduces to ln(3) with 1/2.
+        terms = [
+            (Dilog(Fraction(-1, 3)), -1),
+            (Log(Fraction(2), 2), Fraction(-7, 4)),
+            (UNIT, 2),
+            (LogProd(Fraction(5), Fraction(2)), 3),
+            (Log(Fraction(1, 3)), Fraction(-1, 2)),
+            (PI_SQUARED_ATOM, Fraction(1, 12)),
+        ]
+        rng = random.Random(23)
+        forms = [ClosedForm(rng.sample(terms, len(terms))) for _ in range(5)]
+        head, tail = ClosedForm(terms[:3]), ClosedForm(terms[3:])
+        forms += [
+            head + tail,
+            tail + head,
+            3 * ClosedForm(terms[::-1]) - tail * 2 - 2 * head,
+            ClosedForm.combine(((Fraction(1, 2), head), (1, tail), (Fraction(1, 2), head))),
+            ClosedForm.from_json(forms[0].to_json()),
+        ]
+        first = forms[0]
+        kinds = [atom.to_json_dict()["kind"] for atom in first.atoms()]
+        assert kinds == ["unit", "pi2", "log", "logpow", "logprod", "dilog"]
+        for form in forms:
+            assert form == first
+            assert form.terms() == first.terms()
+            assert hash(form) == hash(first)
+            assert str(form) == str(first)
+            assert form.to_json() == first.to_json()
+        assert len(set(forms)) == 1
+
 
 class TestArithmetic:
     def test_evalf_frozen_examples(self):

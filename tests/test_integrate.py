@@ -553,6 +553,16 @@ class TestDriver:
         with pytest.raises(TypeError):
             IntegralSpec(num, den, 0.0, F(1))
 
+    @pytest.mark.parametrize("num, den, field", [
+        ([1], Polynomial((1, 1)), "numerator must be a Polynomial"),
+        (Polynomial((1,)), [1, 1], "denominator must be a Polynomial or FactoredDenominator"),
+        (Polynomial((1,)), "x+1", "denominator must be a Polynomial or FactoredDenominator"),
+        (Polynomial((1,)), None, "denominator must be a Polynomial or FactoredDenominator"),
+    ], ids=["list-numerator", "list-denominator", "str-denominator", "none-denominator"])
+    def test_spec_names_an_integrand_of_the_wrong_type(self, num, den, field):
+        with pytest.raises(TypeError, match=field):
+            IntegralSpec(num, den, F(0), F(1))
+
     def test_additivity_exact(self):
         rng = random.Random(17)
         for _ in range(20):
