@@ -30,9 +30,7 @@ from .dilog import dilog
 from .errors import DomainError, NoConvergence
 from .integrate import IntegralSpec, integrate_rational_log
 from .parsing import ParseError, parse_denominator, parse_polynomial, parse_rational
-from .poly import Polynomial
 from .quadrature import quad_log
-from .ratfunc import FactoredDenominator
 from .unimodal import coeff_report
 
 EXIT_OK = 0
@@ -111,26 +109,6 @@ def _print_json(document: dict) -> None:
     }, allow_nan=False))
 
 
-def _read_integrand(num_text: str, den_text: str):
-    """Parse --num and --den: the numerator, the denominator as written
-    (factored or not), and the denominator expanded for the oracle.
-
-    A factored denominator c * prod (x + s)^m is multiplied out here as a
-    product of Polynomials, not by `FactoredDenominator.expand`, which
-    the closed form's route uses, so that the oracle does not share the
-    expansion it checks.
-    """
-    numerator = parse_polynomial(num_text)
-    denominator = parse_denominator(den_text)
-    if isinstance(denominator, FactoredDenominator):
-        expanded = Polynomial.constant(denominator.constant)
-        for shift, mult in denominator.factors:
-            for _ in range(mult):  # one linear factor at a time: cheaper than **
-                expanded = expanded * Polynomial((shift, 1))
-        return numerator, denominator, expanded
-    return numerator, denominator, denominator
-
-
 def _run_integrate_job(
     num_text: str,
     den_text: str,
@@ -142,7 +120,8 @@ def _run_integrate_job(
 ) -> dict:
     """Parse, integrate, optionally verify; the result as its JSON record.
     Raises ParseError, DomainError (and subclasses) or NoConvergence."""
-    numerator, denominator, expanded = _read_integrand(num_text, den_text)
+    numerator = parse_polynomial(num_text)
+    denominator = parse_denominator(den_text)
     lower = parse_rational(lower_text)
     upper = parse_rational(upper_text)
     form = integrate_rational_log(IntegralSpec(
@@ -157,7 +136,7 @@ def _run_integrate_job(
     }
     if verify:
         oracle = quad_log(
-            (numerator, expanded), lower, upper,
+            (numerator, denominator), lower, upper,
             m=power, tol=min(_ORACLE_TOL, tol / 10.0),
         )
         diff = abs(value - oracle.value)
@@ -184,7 +163,8 @@ def _parse_bound_loose(text: str) -> float:
 
 
 def _cmd_numeric_only(args: argparse.Namespace) -> int:
-    numerator, _, denominator = _read_integrand(args.num, args.den)
+    numerator = parse_polynomial(args.num)
+    denominator = parse_denominator(args.den)
     lower = _parse_bound_loose(args.lower)
     upper = _parse_bound_loose(args.upper)
     try:

@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedPole,
 )
 from .poly import Polynomial, Scalar, exact, integer_at_least, positive
-from .ratfunc import FactoredDenominator, factor_denominator, partial_fractions
+from .ratfunc import FactoredDenominator, partial_fractions
 
 
 def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
@@ -259,21 +259,20 @@ class IntegralSpec:
 def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
     """Exact closed form for the integral described by ``spec``.
 
-    The denominator is factored over Q (NonRationalPole if impossible);
-    each pole must be strictly negative and outside [lower, upper].  The
-    fraction is not reduced first: a denominator factor names a pole
-    even if the numerator happens to cancel it.
+    partial_fractions factors the denominator over Q (NonRationalPole if
+    impossible); each pole of the decomposition must be strictly negative
+    and outside [lower, upper].  The fraction is not reduced first: a
+    denominator factor names a pole even if the numerator happens to
+    cancel it, with all its residues zero.
     """
-    den = spec.denominator
-    if isinstance(den, Polynomial):
-        den = factor_denominator(den)
+    decomp = partial_fractions(spec.numerator, spec.denominator)
 
-    if spec.log_power >= 2 and den.degree >= 1:
+    if spec.log_power >= 2 and decomp.poles:
         raise UnsupportedLogPower(
             "log powers >= 2 are only supported for polynomial integrands"
         )
 
-    for pole in den.pole_locations():
+    for pole in (-term.shift for term in decomp.poles):
         if spec.lower <= pole <= spec.upper:
             raise PoleInInterval(
                 f"pole at x = {pole} lies inside [{spec.lower}, {spec.upper}]"
@@ -282,8 +281,6 @@ def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
             raise UnsupportedPole(
                 f"pole at x = {pole} is not on the negative axis"
             )
-
-    decomp = partial_fractions(spec.numerator, den)
 
     # F(upper) - F(lower), with F(t) the integral based at 0 (F(0) = 0).
     parts: list[tuple[Scalar, ClosedForm]] = []

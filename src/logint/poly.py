@@ -158,14 +158,14 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         n = integer_at_least(n, 0, "exponent")
-        result = Polynomial((1,))
-        base = self
-        while n:
+        result, base = Polynomial((1,)), self
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # squared only while a higher bit needs it
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         other = _as_poly(other)

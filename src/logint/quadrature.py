@@ -1,11 +1,14 @@
 """Numeric oracle: adaptive quadrature for int_a^b R(x) (ln x)^m dx.
 
 This route never touches the closed-form machinery, so it can referee
-it.  The integrand is the raw (numerator, denominator) Polynomial pair,
-never its partial-fraction decomposition: the oracle evaluates P(x)/Q(x)
-in floats and decides the real poles exactly from Q's coefficients, so
-it shares no algebra with the routes it checks.  A polynomial P is
-(P, 1).
+it.  The integrand is the raw (numerator, denominator) pair, never its
+partial-fraction decomposition: the oracle evaluates P(x)/Q(x) in floats
+and decides the real poles exactly from Q's coefficients, so it shares
+no algebra with the routes it checks.  A polynomial P is (P, 1).  Q may
+be a Polynomial or a FactoredDenominator c * prod (x + s)^m, read by its
+`constant` and `factors` alone: the oracle multiplies it out itself, one
+linear factor at a time, and never by `FactoredDenominator.expand`, the
+expansion the closed form's route uses.
 
 For a = 0 with m >= 1 the integrand has a logarithmic singularity at the
 origin; the substitution x = exp(-u) turns int_0^s into
@@ -188,19 +191,32 @@ def _pole_in(coeffs, lo: float, hi: float) -> float | None:
 
 
 def quad_log(
-    integrand: tuple[Polynomial, Polynomial],
+    integrand: tuple,
     a,
     b,
     m: int = 1,
     tol: float = 1e-11,
 ) -> QuadResult:
     """Numerically integrate P(x)/Q(x) (ln x)^m over [a, b], 0 <= a < b,
-    the integrand given as the pair (P, Q)."""
+    the integrand given as the pair (P, Q): P a Polynomial, Q a
+    Polynomial or a FactoredDenominator."""
     # Imported on first use, not with the module: compiling quadpack
     # from source adds about 0.8 MB, and the symbolic side never needs it.
     from .quadpack import qagi, qags
 
     num, den = integrand
+    if not isinstance(num, Polynomial):
+        raise TypeError(f"numerator must be a Polynomial, got {type(num).__name__}")
+    if not isinstance(den, Polynomial):
+        if not hasattr(den, "factors"):
+            raise TypeError("denominator must be a Polynomial or FactoredDenominator, "
+                            f"got {type(den).__name__}")
+        # c * prod (x + s)^m, one linear factor at a time: cheaper than **.
+        q = Polynomial.constant(den.constant)
+        for shift, mult in den.factors:
+            for _ in range(mult):
+                q = q * Polynomial((shift, 1))
+        den = q
     try:
         a = float(a)
         b = float(b)

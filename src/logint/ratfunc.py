@@ -3,8 +3,8 @@
 A denominator is kept as a product of linear factors (x + shift)^mult
 with distinct rational shifts, times a nonzero rational constant.  It
 is multiplied out in integer arithmetic (`FactoredDenominator.expand`),
-because every decomposition and every factored denominator given to
-the numeric oracle pays for that expansion.  The decomposition of P/Q is
+because every decomposition pays for that expansion.  The decomposition
+of P/Q is
 
     P/Q = quotient(x) + sum over poles i, powers j of
           residues[i][j-1] / (x + shift_i)^j
@@ -19,6 +19,8 @@ integer multiple f of q.  Candidates p/s come from the rational root
 theorem, and each is decided by dividing it out of f (`_divide_out`):
 one integral synthetic division is at once the root test and the
 deflation.  Roots are returned with 0 first, then in ascending order.
+`partial_fractions` is the one caller of `factor_denominator`:
+`integrate_rational_log` reads its poles from the decomposition.
 """
 
 from __future__ import annotations
@@ -221,23 +223,26 @@ class FactoredRationalFunction:
         """Return (P, Q) with self == P/Q and Q the monic denominator;
         two poles with one shift raise PoleCollision.
 
-        Q is multiplied out as a product of Fraction polynomials, not by
-        `FactoredDenominator.expand`, so that a recomposition test does
-        not share the expansion of the route it checks.
+        Q and each rest * (x + shift)^(mult - j), rest being Q without
+        the pole's factor, are multiplied out one linear factor at a time,
+        with no division and not by `FactoredDenominator.expand`, so that
+        a recomposition test does not share the algebra of the route it
+        checks.
         """
         factors = tuple((pole.shift, len(pole.residues)) for pole in self.poles)
         FactoredDenominator(1, factors)  # a repeated shift raises PoleCollision
-        q = Polynomial.constant(1)
-        for shift, mult in factors:
-            q = q * Polynomial((shift, 1)) ** mult
-        p = self.quotient * q
+        p, q = Polynomial(), Polynomial.constant(1)
         for pole in self.poles:
-            mult = len(pole.residues)
-            base = Polynomial((pole.shift, 1))
-            rest = q // base ** mult
-            for j, c in enumerate(pole.residues, start=1):
-                p = p + c * (rest * base ** (mult - j))
-        return p, q
+            # q runs through rest * (x + shift)^(mult - j), j = mult, ..., 1,
+            # and ends as Q.
+            q = Polynomial.constant(1)
+            for shift, mult in factors:
+                for _ in range(mult if shift != pole.shift else 0):
+                    q = q * Polynomial((shift, 1))
+            for c in reversed(pole.residues):
+                p = p + c * q
+                q = q * Polynomial((pole.shift, 1))
+        return p + self.quotient * q, q
 
 
 def partial_fractions(

@@ -59,13 +59,21 @@ def random_spec(rng: random.Random) -> IntegralSpec:
     )
 
 
-def oracle_integrand(spec: IntegralSpec) -> tuple[Polynomial, Polynomial]:
-    """Raw (P, Q) pair for the quadrature oracle.
+def linear_product(den: FactoredDenominator) -> Polynomial:
+    """c * prod (x + s)^m multiplied out as a product of linear-factor
+    Polynomials, not by `FactoredDenominator.expand`, so that a check
+    built on it shares no algebra with the symbolic route it referees."""
+    q = Polynomial.constant(den.constant)
+    for shift, mult in den.factors:
+        for _ in range(mult):
+            q = q * Polynomial((shift, 1))
+    return q
 
-    Deliberately bypasses partial fractions so the oracle route shares
-    no algebra with the symbolic route it referees.
-    """
+
+def oracle_integrand(spec: IntegralSpec) -> tuple[Polynomial, Polynomial]:
+    """Raw (P, Q) pair, Q multiplied out, for a test that evaluates Q at
+    a float.  quad_log itself takes the spec's denominator as it is."""
     den = spec.denominator
     if isinstance(den, FactoredDenominator):
-        den = den.expand()
+        den = linear_product(den)
     return spec.numerator, den

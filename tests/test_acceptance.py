@@ -153,7 +153,7 @@ def test_criterion_5_oracle_agreement_at_scale():
     for i in range(200):
         spec = random_spec(rng)
         got = integrate_rational_log(spec).evalf()
-        ref = quad_log(oracle_integrand(spec), spec.lower, spec.upper)
+        ref = quad_log((spec.numerator, spec.denominator), spec.lower, spec.upper)
         if not ref.converged:
             failures.append(f"case {i}: oracle did not converge")
             continue

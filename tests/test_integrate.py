@@ -40,7 +40,7 @@ from logint import (
     unit_pole_log_integral,
     unit_pole_log_parts,
 )
-from specgen import oracle_integrand, random_spec
+from specgen import linear_product, oracle_integrand, random_spec
 
 F = Fraction
 PI2_12 = 0.8224670334241132  # pi^2 / 12
@@ -450,7 +450,7 @@ class TestDriver:
             upper=F(4),
         )
         got = integrate_rational_log(spec)
-        ref = quad_log((Polynomial((2, 1)), den.expand()), F(1, 2), 4)
+        ref = quad_log((Polynomial((2, 1)), den), F(1, 2), 4)
         assert ref.converged
         assert abs(got.evalf() - ref.value) <= 1e-10 * (1 + abs(ref.value))
 
@@ -563,6 +563,27 @@ class TestDriver:
         with pytest.raises(TypeError, match=field):
             IntegralSpec(num, den, F(0), F(1))
 
+    @pytest.mark.parametrize("factors, power, error", [
+        (None, 2, NonRationalPole),  # x^2 - 2: factoring fails first
+        (((1, 1), (3, 1)), 2, UnsupportedLogPower),
+        (((-1, 1), (3, 1)), 2, UnsupportedLogPower),  # before the pole
+        (((-1, 1),), 1, PoleInInterval),
+        (((-3, 1),), 1, UnsupportedPole),
+    ], ids=["irrational", "log-power", "log-power-before-pole", "pole-inside",
+            "positive-pole"])
+    def test_rejection_order(self, factors, power, error):
+        # On [0, 2] integrate_rational_log decomposes first, then checks
+        # the log power, then each pole; an expanded and a factored Q agree.
+        if factors is None:
+            dens = [Polynomial((-2, 0, 1))]
+        else:
+            fd = FactoredDenominator(1, factors)
+            dens = [linear_product(fd), fd]
+        for den in dens:
+            spec = IntegralSpec(Polynomial((1,)), den, F(0), F(2), log_power=power)
+            with pytest.raises(error):
+                integrate_rational_log(spec)
+
     def test_additivity_exact(self):
         rng = random.Random(17)
         for _ in range(20):
@@ -615,8 +636,7 @@ class TestDriver:
         for _ in range(30):
             spec = random_spec(rng)
             got = integrate_rational_log(spec).evalf()
-            num, den = oracle_integrand(spec)
-            ref = quad_log((num, den), spec.lower, spec.upper)
+            ref = quad_log((spec.numerator, spec.denominator), spec.lower, spec.upper)
             assert ref.converged
             assert abs(got - ref.value) <= 1e-9 * (1 + abs(ref.value))
 

@@ -132,6 +132,28 @@ def test_pow():
         x1**True
 
 
+def test_pow_forms_no_product_above_its_degree(monkeypatch):
+    # Square-and-multiply stops at the top bit: (x+1)**8 never squares
+    # x^8 + ... into a degree-16 product it does not use.
+    degrees = []
+    mul = Polynomial.__mul__
+
+    def recording(self, other):
+        out = mul(self, other)
+        degrees.append(out.degree)
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording)
+    for p in (Polynomial((1, 1)), Polynomial((Fraction(1, 2), 0, 3))):
+        for n in range(17):
+            degrees.clear()
+            expected = Polynomial((1,))
+            for _ in range(n):
+                expected = mul(expected, p)
+            assert p**n == expected
+            assert max(degrees, default=0) <= n * p.degree, (p, n)
+
+
 def test_exactness_with_huge_components():
     # (a+b)-b must return a exactly even with ~200-digit parts.
     rng = random.Random(505)

@@ -1,6 +1,7 @@
 """Quadrature oracle: endpoint singularity handling, errors, bounded work."""
 
 import ast
+import json
 import math
 import os
 import random
@@ -16,6 +17,8 @@ import pytest
 
 from logint import (
     DomainError,
+    FactoredDenominator,
+    NoConvergence,
     Polynomial,
     SingularInterior,
     ZeroDenominator,
@@ -23,6 +26,7 @@ from logint import (
 )
 from logint.quadpack import _XGK21, qagi, qags
 from logint.quadrature import _pole_in
+from specgen import linear_product, random_spec
 
 F = Fraction
 ONE = Polynomial.constant(1)
@@ -383,6 +387,24 @@ def test_source_imports_only_the_standard_library():
     assert sorted(i for i in imported if i[1] not in sys.stdlib_module_names) == []
 
 
+def test_source_has_one_owner_per_denominator_form():
+    # partial_fractions is the one place that factors an expanded Q, and
+    # the oracle multiplies out a factored Q itself: neither quadrature
+    # nor the CLI, which hands Q to the oracle as parsed, uses `expand`.
+    src = Path(__file__).resolve().parent.parent / "src" / "logint"
+    factoring, expanding = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "factor_denominator":
+                    factoring.add(path.name)
+            if isinstance(node, ast.Attribute) and node.attr == "expand":
+                expanding.add(path.name)
+    assert factoring == {"ratfunc.py"}
+    assert expanding.isdisjoint({"quadrature.py", "cli.py"}), sorted(expanding)
+
+
 def test_oracle_runs_without_scipy():
     # QUADPACK runs in-tree and the pole test is exact, so neither a
     # finite range, nor [a, inf), nor a pole inside loads numpy or scipy.
@@ -434,6 +456,74 @@ def test_oracle_imports_no_symbolic_module():
     ours = _logint_imports("quadrature.py")
     assert ours <= {"logint.errors", "logint.poly", "logint.quadpack"}, sorted(ours)
     assert _logint_imports("quadpack.py") == set()
+
+
+def _transcript_integrands():
+    """(P, Q, lower, upper, m) of every integrate job in the CLI
+    transcript whose denominator is written factored."""
+    from test_cli_transcript import CASES, MIXED_BATCH
+
+    from logint.cli import _parse_bound_loose
+    from logint.parsing import ParseError, parse_denominator, parse_polynomial
+
+    flags = ("--num", "--den", "--lower", "--upper", "--power")
+    jobs = [{k: v for k, v in zip(argv, argv[1:]) if k in flags}
+            for _, argv, _, _ in CASES if argv[:1] == ["integrate"]]
+    jobs += [{f"--{k}": v for k, v in json.loads(line).items()}
+             for line in MIXED_BATCH.splitlines() if line.startswith("{")]
+    out = []
+    for job in jobs:
+        try:
+            num = parse_polynomial(job["--num"])
+            den = parse_denominator(job["--den"])
+            bounds = [_parse_bound_loose(job[k]) for k in ("--lower", "--upper")]
+            power = int(job.get("--power", 1))
+        except (KeyError, ParseError, ValueError):
+            continue
+        if isinstance(den, FactoredDenominator):
+            out.append((num, den, *bounds, power))
+    return out
+
+
+def test_oracle_multiplies_out_a_factored_denominator(monkeypatch):
+    # quad_log((P, factored Q)) is quad_log((P, Q as a product)), to the
+    # bit, and never calls the route's expansion.
+    cases = _transcript_integrands()
+    assert len(cases) >= 5
+    rng = random.Random(2024)
+    for _ in range(50):
+        spec = random_spec(rng)
+        cases.append((spec.numerator, spec.denominator, spec.lower, spec.upper, 1))
+
+    def refused(self):
+        raise AssertionError("the oracle used FactoredDenominator.expand")
+
+    monkeypatch.setattr(FactoredDenominator, "expand", refused)
+
+    def outcome(integrand, a, b, m):
+        try:
+            return repr(quad_log(integrand, a, b, m=m))
+        except (DomainError, NoConvergence) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    for num, den, a, b, m in cases:
+        factored = outcome((num, den), a, b, m)
+        assert factored == outcome((num, linear_product(den)), a, b, m), (num, den, a, b)
+
+
+@pytest.mark.parametrize("num, den, part", [
+    ([1], Polynomial((1, 1)), "numerator must be a Polynomial"),
+    (None, Polynomial((1, 1)), "numerator must be a Polynomial"),
+    (ONE, [1, 1], "denominator must be a Polynomial or FactoredDenominator"),
+    (ONE, "(x+1)", "denominator must be a Polynomial or FactoredDenominator"),
+    (ONE, None, "denominator must be a Polynomial or FactoredDenominator"),
+    (ONE, 2, "denominator must be a Polynomial or FactoredDenominator"),
+    (ONE, F(2), "denominator must be a Polynomial or FactoredDenominator"),
+], ids=["list-num", "none-num", "list-den", "str-den", "none-den", "int-den",
+        "fraction-den"])
+def test_oracle_names_an_integrand_of_the_wrong_type(num, den, part):
+    with pytest.raises(TypeError, match=part):
+        quad_log((num, den), 0, 1)
 
 
 def test_oracle_shares_no_polynomial_arithmetic(monkeypatch):
