@@ -161,7 +161,7 @@ def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogIntegralParts:
     """(1+b)^(n-1) h_n(b) split as  X(b) ln b + Y(b) ln(1+b) + Z(b)."""
 
@@ -194,32 +194,49 @@ def unit_pole_log_parts(n: int) -> LogIntegralParts:
 
         X_n = ((1+b)^(n-1) - 1) / (n-1),    Y_n = -(1+b)^(n-1) / (n-1).
 
-    The power (1+b)^(k-1) is carried from step to step, one product by
-    (1+b) each, so the whole recurrence costs O(n^2) coefficient
-    operations.  X_n is built without it, so a wrong power still fails
-    the check.
+    Each part is carried scaled by (k-1)!, which makes every coefficient
+    an integer and the step free of division:
+
+        A_k = (k-2)(1+b) A_(k-1) + (k-2)! b               (X),
+        B_k = (k-2)(1+b) B_(k-1)                           (Y),
+        C_k = (k-2)(1+b) C_(k-1) + (k-3)! ((1+b) - (1+b)^(k-1))   (Z),
+
+    and the three are divided by (n-1)! once, at the end.  The power
+    (1+b)^(k-1) is carried from step to step, one product by (1+b)
+    each, so the whole recurrence costs O(n^2) integer operations.  A_n
+    is built without it, so a wrong power still fails the check.
     """
     integer_at_least(n, 2, "pole order")
-    bpoly = Polynomial.x()
-    one_plus = Polynomial((1, 1))
-    x_part = bpoly
-    y_part = -one_plus
-    z_part = Polynomial()
-    power = one_plus  # (1+b)^(k-1)
+    # Ascending integer coefficients of A_k, B_k, C_k and (1+b)^(k-1).
+    x_part, y_part, z_part, power = [0, 1], [-1, -1], [0, 0], [1, 1]
+    fact = 1  # (k-3)! at step k
     for k in range(3, n + 1):
-        step = Fraction(k - 2, k - 1) * one_plus
-        power = power * one_plus
-        x_part = step * x_part + Fraction(1, k - 1) * bpoly
-        y_part = step * y_part
-        z_part = step * z_part + Fraction(1, (k - 1) * (k - 2)) * (
-            one_plus - power
-        )
-    expected_x = Fraction(1, n - 1) * (power - 1)
-    expected_y = Fraction(-1, n - 1) * power
-    if x_part != expected_x or y_part != expected_y:
+        m = k - 2
+        # c -> m (1+b) c is  c_j <- m (c_j + c_(j-1)).
+        power = [p + q for p, q in zip(power + [0], [0] + power)]
+        x_part = [m * (p + q) for p, q in zip(x_part + [0], [0] + x_part)]
+        x_part[1] += m * fact
+        y_part = [m * (p + q) for p, q in zip(y_part + [0], [0] + y_part)]
+        z_part = [
+            m * (p + q) - fact * r
+            for p, q, r in zip(z_part + [0], [0] + z_part, power)
+        ]
+        z_part[0] += fact
+        z_part[1] += fact
+        fact *= m
+    # Now fact = (n-2)!, so (n-1)! X_n = fact ((1+b)^(n-1) - 1) and
+    # (n-1)! Y_n = -fact (1+b)^(n-1).
+    expected_x = [fact * p for p in power]
+    expected_x[0] -= fact
+    if x_part != expected_x or y_part != [-fact * p for p in power]:
         raise AssertionError("recurrence disagrees with closed-form parts")
+    scale = fact * (n - 1)
+    x_poly, y_poly, z_poly = (
+        Polynomial([Fraction(c, scale) for c in part])
+        for part in (x_part, y_part, z_part)
+    )
     return LogIntegralParts(
-        n=n, log_b=x_part, log_one_plus_b=y_part, rational=z_part
+        n=n, log_b=x_poly, log_one_plus_b=y_poly, rational=z_poly
     )
 
 

@@ -84,9 +84,6 @@ class FactoredDenominator:
         c = self.constant / scale
         return Polynomial([Fraction(c.numerator * a, c.denominator) for a in f])
 
-    def pole_locations(self) -> tuple[Fraction, ...]:
-        return tuple(-shift for shift, _ in self.factors)
-
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.factors)

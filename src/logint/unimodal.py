@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import DomainError
 from .poly import Polynomial, integer_at_least
@@ -83,13 +83,19 @@ def check_unimodal(p: Polynomial) -> tuple[bool, Optional[int]]:
     return True, peak
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoeffReport:
-    """Shape summary for one member of a coefficient family."""
+    """Shape summary for one member of a coefficient family.
+
+    ``coeffs`` holds each integral coefficient as an ``int`` and any
+    other as a ``Fraction``, so a report stays small when it is kept and
+    still shows a coefficient that is not an integer.  Both print as
+    the same string, so JSON and text output are as for Fractions.
+    """
 
     n: int
     family: str  # "base" (t_n) or "shifted" (s_n)
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Union[int, Fraction], ...]
     degree: int
     all_nonneg_integers: bool
     nondecreasing: bool
@@ -110,12 +116,13 @@ def coeff_report(n: int, family: str = "shifted") -> CoeffReport:
         raise DomainError(f"unknown family {family!r}; use 'base' or 'shifted'")
     nondec, first_dec = check_nondecreasing(p)
     unimodal, peak = check_unimodal(p)
+    coeffs = tuple(c.numerator if c.denominator == 1 else c for c in p.coeffs)
     return CoeffReport(
         n=n,
         family=family,
-        coeffs=p.coeffs,
+        coeffs=coeffs,
         degree=p.degree,
-        all_nonneg_integers=all(c.denominator == 1 and c >= 0 for c in p.coeffs),
+        all_nonneg_integers=all(type(c) is int and c >= 0 for c in coeffs),
         nondecreasing=nondec,
         first_decrease=first_dec,
         unimodal=unimodal,

@@ -16,6 +16,7 @@ import mpmath
 from logint import (
     ClosedForm,
     Dilog,
+    FactoredRationalFunction,
     IntegralSpec,
     Log,
     LogProd,
@@ -214,14 +215,16 @@ def test_criterion_7_unimodal_family():
     _finish(7, "t/s families: shape, positivity, difference identity", failures, started, 5.0)
 
 
-def test_criterion_8_property_suites():
-    started = time.perf_counter()
-    failures = []
-    cases = 0
+RECOMPOSITION_CASES = 120
 
-    # -- partial-fraction recomposition (exact) --------------------------
+
+def _recomposition_failures() -> list:
+    """Criterion 8's recomposition suite: each random P/Q whose partial
+    fractions do not recompose to P2/Q2 with P/Q == P2/Q2 and Q2 = Q/c,
+    c being Q's constant."""
+    failures = []
     rng = random.Random(801)
-    for i in range(120):
+    for i in range(RECOMPOSITION_CASES):
         num = random_polynomial(rng)
         den = random_factored_denominator(rng)
         frf = partial_fractions(num, den)
@@ -229,9 +232,29 @@ def test_criterion_8_property_suites():
         q = Polynomial((den.constant,))  # Q without the route's expand
         for shift, mult in den.factors:
             q = q * Polynomial((shift, 1)) ** mult
-        if num * q2 != p2 * q:
+        # num * q2 == p2 * q alone holds for q2 = p2 = 0.
+        if num * q2 != p2 * q or q2 * den.constant != q:
             failures.append(f"recomposition {i}: {num}/{den}")
-        cases += 1
+    return failures
+
+
+def test_criterion_8_recomposition_rejects_an_empty_recompose(monkeypatch):
+    monkeypatch.setattr(
+        FactoredRationalFunction,
+        "recompose",
+        lambda self: (Polynomial(), Polynomial()),
+    )
+    assert len(_recomposition_failures()) == RECOMPOSITION_CASES
+
+
+def test_criterion_8_property_suites():
+    started = time.perf_counter()
+    failures = []
+    cases = 0
+
+    # -- partial-fraction recomposition (exact) --------------------------
+    failures += _recomposition_failures()
+    cases += RECOMPOSITION_CASES
 
     # -- additivity over a split point (exact forms) ----------------------
     rng = random.Random(802)

@@ -351,6 +351,33 @@ class TestMultiplePole:
 
 
 class TestLogIntegralParts:
+    @staticmethod
+    def _fraction_recurrence(n):
+        """The recurrence of unit_pole_log_parts in reduced Fractions, one
+        step at a time: its referee, sharing none of the (k-1)!-scaled
+        integer arithmetic it checks."""
+        bpoly = Polynomial.x()
+        one_plus = Polynomial((1, 1))
+        x_part = bpoly
+        y_part = -one_plus
+        z_part = Polynomial()
+        power = one_plus  # (1+b)^(k-1)
+        for k in range(3, n + 1):
+            step = Fraction(k - 2, k - 1) * one_plus
+            power = power * one_plus
+            x_part = step * x_part + Fraction(1, k - 1) * bpoly
+            y_part = step * y_part
+            z_part = step * z_part + Fraction(1, (k - 1) * (k - 2)) * (
+                one_plus - power
+            )
+        return x_part, y_part, z_part
+
+    def test_matches_fraction_recurrence(self):
+        for n in [*range(2, 61), 120]:
+            parts = unit_pole_log_parts(n)
+            got = (parts.log_b, parts.log_one_plus_b, parts.rational)
+            assert got == self._fraction_recurrence(n), n
+
     def test_base_case(self):
         parts = unit_pole_log_parts(2)
         assert parts.log_b == Polynomial.x()

@@ -77,7 +77,7 @@ def test_factored_negative_shift_is_representable():
     # (x-1) parses fine; its positive pole is rejected later, by the driver.
     den = parse_factored("(x-1)")
     assert den.factors == ((Fraction(-1), 1),)
-    assert den.pole_locations() == (Fraction(1),)
+    assert tuple(-shift for shift, _ in den.factors) == (Fraction(1),)
 
 
 def test_factored_repeated_factors_merge():

@@ -199,7 +199,7 @@ class TestFactoredDenominator:
         )
         assert den.expand() == Polynomial((4, 6, 2))
         assert den.degree == 2
-        assert den.pole_locations() == (Fraction(-1), Fraction(-2))
+        assert tuple(-shift for shift, _ in den.factors) == (Fraction(-1), Fraction(-2))
 
     def test_validation(self):
         with pytest.raises(ZeroDenominator):
@@ -269,7 +269,7 @@ class TestFactoredDenominator:
         with pytest.raises(TypeError):
             FactoredDenominator(constant=1, factors=((0.1, 1),))
         den = FactoredDenominator(constant=3, factors=((Fraction(1, 10), 1),))
-        assert den.pole_locations() == (Fraction(-1, 10),)
+        assert tuple(-shift for shift, _ in den.factors) == (Fraction(-1, 10),)
 
     def test_factor_denominator_requires_rational_roots(self):
         with pytest.raises(NonRationalPole):
@@ -335,6 +335,17 @@ class TestPartialFractions:
             for shift, mult in den.factors:
                 q = q * Polynomial((shift, 1)) ** mult
             assert num * q2 == p2 * q
+            # The equation above holds for q2 = p2 = 0; Q itself does not.
+            assert q2 * den.constant == q
+
+    def test_recomposition_check_rejects_an_empty_recompose(self, monkeypatch):
+        monkeypatch.setattr(
+            FactoredRationalFunction,
+            "recompose",
+            lambda self: (Polynomial(), Polynomial()),
+        )
+        with pytest.raises(AssertionError):
+            self.test_recomposition_random()
 
     def test_matches_sympy_apart(self):
         # A referee that shares no code with partial_fractions: sympy

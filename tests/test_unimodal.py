@@ -159,6 +159,30 @@ class TestReport:
         assert rep.unimodal is True
         assert rep.peak == 0
 
+    def test_coefficients_are_ints(self):
+        for n in range(3, 43):
+            for family, poly in (
+                ("base", family_poly(n)),
+                ("shifted", shifted_family_poly(n)),
+            ):
+                rep = coeff_report(n, family)
+                assert all(type(c) is int for c in rep.coeffs), (n, family)
+                assert rep.coeffs == poly.coeffs, (n, family)
+
+    def test_non_integral_coefficient_stays_a_fraction(self, monkeypatch):
+        import logint.unimodal
+
+        monkeypatch.setattr(
+            logint.unimodal,
+            "shifted_family_poly",
+            lambda n: Polynomial((1, F(1, 2))),
+        )
+        rep = coeff_report(5)
+        assert rep.coeffs == (1, F(1, 2))
+        assert [type(c) for c in rep.coeffs] == [int, Fraction]
+        assert rep.all_nonneg_integers is False
+        assert rep.to_json_dict()["coeffs"] == ["1", "1/2"]
+
     def test_zero_member(self):
         rep = coeff_report(2, family="base")
         assert rep.coeffs == ()
