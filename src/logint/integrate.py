@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedPole,
 )
 from .poly import Polynomial, Scalar, exact, integer_at_least, positive
-from .ratfunc import FactoredDenominator, partial_fractions
+from .ratfunc import FactoredDenominator, factored, partial_fractions
 
 
 def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
@@ -276,20 +276,24 @@ class IntegralSpec:
 def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
     """Exact closed form for the integral described by ``spec``.
 
-    partial_fractions factors the denominator over Q (NonRationalPole if
-    impossible); each pole of the decomposition must be strictly negative
-    and outside [lower, upper].  The fraction is not reduced first: a
-    denominator factor names a pole even if the numerator happens to
-    cancel it, with all its residues zero.
+    The denominator is factored over Q first (NonRationalPole if
+    impossible), and the domain is decided from its factors alone,
+    before any decomposition: a log power of 2 or more with a pole
+    raises UnsupportedLogPower, and then each pole, in ascending order,
+    must lie outside [lower, upper] and strictly below 0.  So a factored
+    and an expanded Q give the same error.  Only then is the fraction
+    decomposed.  It is not reduced first: a denominator factor names a
+    pole even if the numerator happens to cancel it, with all its
+    residues zero.
     """
-    decomp = partial_fractions(spec.numerator, spec.denominator)
+    fd = factored(spec.denominator)
 
-    if spec.log_power >= 2 and decomp.poles:
+    if spec.log_power >= 2 and fd.factors:
         raise UnsupportedLogPower(
             "log powers >= 2 are only supported for polynomial integrands"
         )
 
-    for pole in (-term.shift for term in decomp.poles):
+    for pole in sorted(-shift for shift, _ in fd.factors):
         if spec.lower <= pole <= spec.upper:
             raise PoleInInterval(
                 f"pole at x = {pole} lies inside [{spec.lower}, {spec.upper}]"
@@ -298,6 +302,8 @@ def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
             raise UnsupportedPole(
                 f"pole at x = {pole} is not on the negative axis"
             )
+
+    decomp = partial_fractions(spec.numerator, fd)
 
     # F(upper) - F(lower), with F(t) the integral based at 0 (F(0) = 0).
     parts: list[tuple[Scalar, ClosedForm]] = []

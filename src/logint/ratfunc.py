@@ -19,8 +19,9 @@ integer multiple f of q.  Candidates p/s come from the rational root
 theorem, and each is decided by dividing it out of f (`_divide_out`):
 one integral synthetic division is at once the root test and the
 deflation.  Roots are returned with 0 first, then in ascending order.
-`partial_fractions` is the one caller of `factor_denominator`:
-`integrate_rational_log` reads its poles from the decomposition.
+`factored` is the one caller of `factor_denominator`: it turns either
+form of Q into factors, for `partial_fractions` and for
+`integrate_rational_log`, which rejects a pole before any decomposition.
 """
 
 from __future__ import annotations
@@ -201,6 +202,14 @@ def factor_denominator(q: Polynomial) -> FactoredDenominator:
     )
 
 
+def factored(q: Union[Polynomial, FactoredDenominator]) -> FactoredDenominator:
+    """q as linear factors: a FactoredDenominator as given, a Polynomial
+    through factor_denominator."""
+    if isinstance(q, Polynomial):
+        return factor_denominator(q)
+    return q
+
+
 @dataclass(frozen=True)
 class PoleTerm:
     """All partial-fraction terms attached to one pole x = -shift."""
@@ -251,8 +260,7 @@ def partial_fractions(
     A plain Polynomial denominator is factored first; a factor with no
     rational root raises NonRationalPole.
     """
-    if isinstance(denominator, Polynomial):
-        denominator = factor_denominator(denominator)
+    denominator = factored(denominator)
     q_expanded = denominator.expand()
     quotient, rem = divmod(numerator, q_expanded)
 

@@ -88,6 +88,9 @@ CASES = [
     ("integrate-pole-in-interval",
      ["integrate", "--num", "1", "--den", "(x-1)", "--lower", "0", "--upper", "2"],
      {}, None),
+    ("integrate-two-offending-poles",
+     ["integrate", "--num", "1", "--den", "(x-3)(x-1)", "--lower", "0", "--upper", "2"],
+     {}, None),
     ("integrate-power-2-with-poles", ["integrate", *UNIT, "--power", "2"], {}, None),
     ("integrate-non-rational-pole",
      ["integrate", "--num", "1", "--den", "x^2 - 2", "--lower", "0", "--upper", "1"],

@@ -40,10 +40,21 @@ from logint import (
     unit_pole_log_integral,
     unit_pole_log_parts,
 )
-from specgen import linear_product, oracle_integrand, random_spec
+from specgen import (
+    CONSTANTS,
+    linear_product,
+    oracle_integrand,
+    random_bounds,
+    random_polynomial,
+    random_spec,
+)
 
 F = Fraction
 PI2_12 = 0.8224670334241132  # pi^2 / 12
+
+
+def _no_decomposition(*args):
+    raise AssertionError("a rejected input was decomposed")
 
 
 class TestMonomialLog:
@@ -596,11 +607,14 @@ class TestDriver:
         (((-1, 1), (3, 1)), 2, UnsupportedLogPower),  # before the pole
         (((-1, 1),), 1, PoleInInterval),
         (((-3, 1),), 1, UnsupportedPole),
+        (((-3, 1), (-1, 1)), 1, PoleInInterval),  # the lower pole decides
     ], ids=["irrational", "log-power", "log-power-before-pole", "pole-inside",
-            "positive-pole"])
-    def test_rejection_order(self, factors, power, error):
-        # On [0, 2] integrate_rational_log decomposes first, then checks
-        # the log power, then each pole; an expanded and a factored Q agree.
+            "positive-pole", "two-offending-poles"])
+    def test_rejection_order(self, monkeypatch, factors, power, error):
+        # On [0, 2] integrate_rational_log factors Q first, then checks
+        # the log power, then each pole in ascending order, and never
+        # decomposes a rejected input; an expanded and a factored Q agree.
+        monkeypatch.setattr("logint.integrate.partial_fractions", _no_decomposition)
         if factors is None:
             dens = [Polynomial((-2, 0, 1))]
         else:
@@ -610,6 +624,34 @@ class TestDriver:
             spec = IntegralSpec(Polynomial((1,)), den, F(0), F(2), log_power=power)
             with pytest.raises(error):
                 integrate_rational_log(spec)
+
+    def test_rejected_high_multiplicity_skips_the_decomposition(self, monkeypatch):
+        # (x - 1)^400 on [0, 2] is decided from its one factor.
+        monkeypatch.setattr("logint.integrate.partial_fractions", _no_decomposition)
+        den = FactoredDenominator(1, ((-1, 400),))
+        with pytest.raises(PoleInInterval, match="pole at x = 1 lies inside"):
+            integrate_rational_log(IntegralSpec(Polynomial((1,)), den, F(0), F(2)))
+
+    def test_verdict_is_independent_of_the_form_of_q(self):
+        # One Q, factored and multiplied out, gives the same closed form or
+        # the same error; shifts on both sides of 0, written in random order.
+        rng = random.Random(28)
+        shifts = [F(k, 2) for k in range(-10, 11)]
+        for _ in range(300):
+            factors = tuple(
+                (s, rng.randint(1, 3)) for s in rng.sample(shifts, rng.randint(1, 3))
+            )
+            fd = FactoredDenominator(rng.choice(CONSTANTS), factors)
+            lower, upper = random_bounds(rng)
+            num, power = random_polynomial(rng), rng.randint(1, 2)
+            verdicts = []
+            for den in (fd, linear_product(fd)):
+                spec = IntegralSpec(num, den, lower, upper, log_power=power)
+                try:
+                    verdicts.append(integrate_rational_log(spec))
+                except DomainError as err:
+                    verdicts.append((type(err), str(err)))
+            assert verdicts[0] == verdicts[1], (factors, lower, upper, power)
 
     def test_additivity_exact(self):
         rng = random.Random(17)
