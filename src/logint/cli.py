@@ -19,6 +19,7 @@ LOGINT_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -119,7 +120,8 @@ def _run_integrate_job(
     tol: float,
 ) -> dict:
     """Parse, integrate, optionally verify; the result as its JSON record.
-    Raises ParseError, DomainError (and subclasses) or NoConvergence."""
+    Raises ParseError, DomainError (and subclasses) or NoConvergence,
+    which is also how an oracle that cannot check the integral fails."""
     numerator = parse_polynomial(num_text)
     denominator = parse_denominator(den_text)
     lower = parse_rational(lower_text)
@@ -135,10 +137,16 @@ def _run_integrate_job(
         "value": value,
     }
     if verify:
-        oracle = quad_log(
-            (numerator, denominator), lower, upper,
-            m=power, tol=min(_ORACLE_TOL, tol / 10.0),
-        )
+        try:
+            oracle = quad_log(
+                (numerator, denominator), lower, upper,
+                m=power, tol=min(_ORACLE_TOL, tol / 10.0),
+            )
+        except DomainError as exc:
+            # The route has accepted the input, so an oracle that refuses
+            # it has no value to compare with: the mirror of
+            # _cmd_numeric_only, where the oracle is the answer.
+            raise NoConvergence(str(exc)) from exc
         diff = abs(value - oracle.value)
         result["oracle"] = oracle.value
         result["abs_diff"] = diff
@@ -157,9 +165,14 @@ def _parse_bound_loose(text: str) -> float:
     except OverflowError:
         raise ParseError(text, 0, "number out of floating-point range")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(text, 0, "expected a number")
+    # Fraction also refuses an integer past the interpreter's digit limit,
+    # which float() reads as inf.
+    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+        raise ParseError(text, 0, "number out of floating-point range")
+    return value
 
 
 def _cmd_numeric_only(args: argparse.Namespace) -> int:
@@ -227,19 +240,36 @@ def _cmd_dilog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift the interpreter's digit limit on str(int), where it has one,
+    while a report prints coefficients it computed itself.  The parsers
+    keep the limit, since it bounds the work of one input."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _cmd_unimodal(args: argparse.Namespace) -> int:
     report = coeff_report(args.n, args.family)
-    if args.json:
-        _print_json(report.to_json_dict())
-        return EXIT_OK
-    print(f"family: {report.family}, n = {report.n}")
-    print(f"coeffs: {', '.join(str(c) for c in report.coeffs) or '0'}")
-    print(f"degree: {report.degree}")
-    print(f"nonneg-integers: {'yes' if report.all_nonneg_integers else 'no'}")
-    nd = "yes" if report.nondecreasing else f"no (first decrease at {report.first_decrease})"
-    print(f"nondecreasing: {nd}")
-    um = f"yes (peak index {report.peak})" if report.unimodal else "no"
-    print(f"unimodal: {um}")
+    with _int_digits_unlimited():
+        if args.json:
+            _print_json(report.to_json_dict())
+            return EXIT_OK
+        print(f"family: {report.family}, n = {report.n}")
+        print(f"coeffs: {', '.join(str(c) for c in report.coeffs) or '0'}")
+        print(f"degree: {report.degree}")
+        print(f"nonneg-integers: {'yes' if report.all_nonneg_integers else 'no'}")
+        nd = "yes" if report.nondecreasing else f"no (first decrease at {report.first_decrease})"
+        print(f"nondecreasing: {nd}")
+        um = f"yes (peak index {report.peak})" if report.unimodal else "no"
+        print(f"unimodal: {um}")
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .dilog import dilog
+from .dilog import PI_SQUARED, dilog
 from .errors import DomainError
 from .poly import Scalar, exact, integer_at_least, join_signed, positive
 
@@ -95,7 +95,7 @@ class Atom:
 
     def value(self) -> float:
         try:
-            v = (math.pi * math.pi) ** self.pi2
+            v = PI_SQUARED ** self.pi2
             for q, k in self.logs:
                 v *= _log_fraction(q) ** k
         except OverflowError:
@@ -280,16 +280,8 @@ class ClosedForm:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ClosedForm":
-        return cls()
-
-    @classmethod
     def of(cls, atom: Atom, coeff: Scalar = 1) -> "ClosedForm":
         return cls(((atom, coeff),))
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "ClosedForm":
-        return cls(((UNIT, c),))
 
     @classmethod
     def combine(cls, parts: Iterable[tuple[Scalar, "ClosedForm"]]) -> "ClosedForm":
@@ -305,10 +297,6 @@ class ClosedForm:
 
     # -- inspection -----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -316,9 +304,6 @@ class ClosedForm:
         """The nonzero terms in canonical order: atom kind, then logs,
         then dilog."""
         return self._terms
-
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for a, _ in self._terms)
 
     # -- linear algebra ---------------------------------------------------
 

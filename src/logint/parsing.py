@@ -63,7 +63,12 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # Past the interpreter's digit limit for int(), which bounds
+            # the work that one literal can cause.
+            raise self.error("integer literal too long", start) from None
 
     def rational(self) -> Fraction:
         num = self.uint()

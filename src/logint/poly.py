@@ -64,10 +64,6 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
-        return cls((0,) * integer_at_least(degree, 0, "degree") + (coeff,))
-
     # -- inspection ----------------------------------------------------
 
     @property
@@ -88,12 +84,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -176,7 +166,7 @@ class Polynomial:
         quotient = [Fraction(0)] * max(0, self.degree - other.degree + 1)
         rem = list(self._coeffs)
         d = other.degree
-        lead = other.leading
+        lead = other._coeffs[-1]
         for shift in reversed(range(len(quotient))):
             factor = rem[shift + d] / lead
             quotient[shift] = factor
@@ -186,9 +176,6 @@ class Polynomial:
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
 
     # -- calculus / composition ----------------------------------------
 
@@ -208,15 +195,11 @@ class Polynomial:
     def __call__(self, x):
         """Evaluate by Horner's rule.
 
-        Exact for int/Fraction arguments; float arguments evaluate in
-        float arithmetic and return a float.
+        Exact for int/Fraction arguments.  For a float argument the sum
+        starts at 0.0, and a float plus a Fraction is a float, so it
+        evaluates in float arithmetic and returns a float.
         """
-        if isinstance(x, float):
-            acc = 0.0
-            for a in reversed(self._coeffs):
-                acc = acc * x + float(a)
-            return acc
-        acc = Fraction(0)
+        acc = 0.0 if isinstance(x, float) else Fraction(0)
         for a in reversed(self._coeffs):
             acc = acc * x + a
         return acc

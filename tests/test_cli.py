@@ -221,6 +221,18 @@ class TestIntegrate:
         assert err == "error: dilog argument is beyond floating-point range\n"
 
 
+    @pytest.mark.parametrize("flag,text", [("--num", "{}"), ("--den", "(x+{})")])
+    def test_integer_literal_past_the_digit_limit_exits_1(
+        self, capsys, default_int_digit_limit, flag, text
+    ):
+        literal = "1" + "0" * 5000
+        argv = {"--num": "1", "--den": "x+1", "--lower": "0", "--upper": "1"}
+        argv[flag] = text.format(literal)
+        code, out, err = run_cli(capsys, "integrate", *(a for kv in argv.items() for a in kv))
+        assert (code, out) == (1, "")
+        assert err == f"{argv[flag]}\n{' ' * text.index('{')}^ integer literal too long\n"
+
+
 class TestNumericOnly:
     def test_irrational_poles_outside_interval(self, capsys):
         code, out, _ = run_cli(
@@ -335,6 +347,18 @@ class TestNumericOnly:
         assert out == ""
         assert "1e400" in err and "Traceback" not in err
 
+    def test_integer_past_the_digit_limit_is_out_of_range(self, capsys):
+        # Fraction refuses the literal and float() would read it as inf;
+        # it is out of range like 1e400.
+        upper = "1" + "0" * 5000
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--numeric-only", "--num", "1", "--den", "x+1",
+            "--lower", "0", "--upper", upper,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"{upper}\n^ number out of floating-point range\n"
+
     def test_infinite_upper_bound(self, capsys):
         # int_1^inf ln x / (1 + x^2) dx is Catalan's constant.
         code, out, _ = run_cli(
@@ -431,6 +455,34 @@ class TestUnimodal:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit on str(int)"
+    )
+    @pytest.mark.parametrize("family", ["base", "shifted"])
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_coefficients_past_the_digit_limit_print(self, capsys, family, json_flag):
+        # (n-2)! alone has 660 digits at n = 320, past a limit of 640.
+        from logint import coeff_report
+
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(
+                capsys, "unimodal", "--n", "320", "--family", family,
+                *(["--json"] if json_flag else []),
+            )
+            limit_after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, err) == (0, "")
+        assert limit_after == 640
+        expected = coeff_report(320, family).to_json_dict()
+        assert max(map(len, expected["coeffs"])) > 640
+        if json_flag:
+            assert json.loads(out) == expected
+        else:
+            assert f"\ncoeffs: {', '.join(expected['coeffs'])}\n" in out
+
 
 class TestVerifyBatch:
     def test_mixed_batch(self, capsys, tmp_path):
@@ -521,6 +573,19 @@ class TestVerifyBatch:
             assert bad["ok"] is False and bad["kind"] == "parse"
         assert records[2]["ok"] is True
         assert code == 1
+
+    def test_an_oracle_that_cannot_check_a_job_is_an_oracle_failure(self, capsys, monkeypatch):
+        # The route accepts both jobs. The oracle has no tail bound for
+        # ln^61 x, and its pole margin reaches the pole at -1e-13.
+        jobs = [
+            {"num": "1", "den": "1", "lower": "0", "upper": "1", "power": 61},
+            {"num": "1", "den": "(x+1/10000000000000)", "lower": "0", "upper": "1"},
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(j) + "\n" for j in jobs)))
+        code = main(["verify-batch"])
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [(r["ok"], r["kind"]) for r in records] == [(False, "oracle")] * 2
+        assert code == 3
 
     def test_stdin_input(self, capsys, monkeypatch):
         line = json.dumps(

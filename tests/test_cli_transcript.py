@@ -111,6 +111,14 @@ CASES = [
     ("integrate-verify-oracle-fails",
      ["integrate", "--num", HUGE, "--den", "x+1", "--lower", "0", "--upper", "1",
       "--verify"], {}, None),
+    # an oracle that refuses an input the route accepts: it has no bound
+    # for ln^61 x at the origin, and its pole margin reaches -1e-13
+    ("integrate-verify-oracle-refuses-power",
+     ["integrate", "--num", "1", "--den", "1", "--lower", "0", "--upper", "1",
+      "--power", "61", "--verify"], {}, None),
+    ("integrate-verify-oracle-pole-margin",
+     ["integrate", "--num", "1", "--den", "(x+1/10000000000000)", "--lower", "0",
+      "--upper", "1", "--verify"], {}, None),
     # --numeric-only
     ("numeric-text",
      ["integrate", "--numeric-only", "--num", "1", "--den", "x^2 - 2", "--lower", "0",

@@ -116,7 +116,7 @@ class TestCanonical:
 
     def test_log_of_one_drops(self):
         cf = ClosedForm({Log(Fraction(1)): Fraction(5)})
-        assert cf.canonical() == ClosedForm.zero()
+        assert cf.canonical() == ClosedForm()
 
     def test_reciprocal_argument_flips(self):
         # ln(1/2) = -ln(2)
@@ -142,7 +142,7 @@ class TestCanonical:
         ) == ClosedForm({Log(Fraction(5), 2): Fraction(1)})
 
     def test_dilog_special_values(self):
-        assert ClosedForm({Dilog(Fraction(0)): Fraction(3)}) == ClosedForm.zero()
+        assert ClosedForm({Dilog(Fraction(0)): Fraction(3)}) == ClosedForm()
         assert ClosedForm({Dilog(Fraction(-1)): Fraction(1)}) == ClosedForm(
             {PI_SQUARED_ATOM: Fraction(-1, 12)}
         )
@@ -154,7 +154,7 @@ class TestCanonical:
 
     def test_cancellation_drops_terms(self):
         cf = ClosedForm({Log(Fraction(2)): Fraction(1)})
-        assert (cf - cf).canonical() == ClosedForm.zero()
+        assert (cf - cf).canonical() == ClosedForm()
         assert not (cf - cf)
 
     def test_canonical_idempotent_random(self):
@@ -180,7 +180,7 @@ class TestCanonical:
                 terms[atom] = terms.get(atom, Fraction(0)) + coeff
             cf = ClosedForm(terms)
             assert cf.canonical() == cf
-            assert all(is_reduced(atom) for atom in cf.atoms())
+            assert all(is_reduced(atom) for atom, _ in cf.terms())
             # canonicalization must preserve the value of the raw terms
             assert math.isclose(
                 cf.evalf(), raw_value(terms), rel_tol=1e-12, abs_tol=1e-12
@@ -208,7 +208,7 @@ class TestCanonical:
             ClosedForm.from_json(forms[0].to_json()),
         ]
         first = forms[0]
-        kinds = [atom.to_json_dict()["kind"] for atom in first.atoms()]
+        kinds = [atom.to_json_dict()["kind"] for atom, _ in first.terms()]
         assert kinds == ["unit", "pi2", "log", "logpow", "logprod", "dilog"]
         for form in forms:
             assert form == first
@@ -238,7 +238,7 @@ class TestArithmetic:
         assert ClosedForm.of(Log(q)).evalf() == pytest.approx(ref, rel=1e-15, abs=0)
 
     def test_evalf_of_zero(self):
-        assert ClosedForm.zero().evalf() == 0.0
+        assert ClosedForm().evalf() == 0.0
 
     @pytest.mark.parametrize(
         "terms",
@@ -274,10 +274,10 @@ class TestArithmetic:
 
     def test_neg(self):
         cf = ClosedForm({UNIT: Fraction(2)})
-        assert -cf + cf == ClosedForm.zero()
+        assert -cf + cf == ClosedForm()
 
     def test_constant_helper(self):
-        assert ClosedForm.constant(Fraction(3, 4)).evalf() == 0.75
+        assert ClosedForm.of(UNIT, Fraction(3, 4)).evalf() == 0.75
 
     @staticmethod
     def _random_form(rng):
@@ -365,4 +365,4 @@ class TestSerialization:
     def test_str_rendering(self):
         cf = ClosedForm({PI_SQUARED_ATOM: Fraction(-1, 12)})
         assert "pi^2" in str(cf)
-        assert str(ClosedForm.zero()) == "0"
+        assert str(ClosedForm()) == "0"

@@ -74,7 +74,7 @@ class TestMonomialLog:
             j, k = rng.randint(0, 4), rng.randint(0, 3)
             b = F(rng.randint(1, 12), rng.randint(1, 3))
             got = integrate_monomial_log(j, k, b).evalf()
-            ref = quad_log((Polynomial.monomial(j), Polynomial.constant(1)), 0, b, m=k)
+            ref = quad_log((Polynomial.x() ** j, Polynomial.constant(1)), 0, b, m=k)
             assert ref.converged
             assert abs(got - ref.value) <= 1e-10 * (1 + abs(ref.value))
 
@@ -107,7 +107,7 @@ class TestPolyLog:
         assert got == ClosedForm({UNIT: F(9, 4)})
 
     def test_zero_polynomial(self):
-        assert integrate_poly_log(Polynomial(), 3, 1) == ClosedForm.zero()
+        assert integrate_poly_log(Polynomial(), 3, 1) == ClosedForm()
 
     def test_linearity_random(self):
         rng = random.Random(12)
@@ -116,7 +116,7 @@ class TestPolyLog:
             b = F(rng.randint(1, 8), rng.randint(1, 2))
             m = rng.randint(0, 3)
             whole = integrate_poly_log(Polynomial(coeffs), b, m)
-            pieces = ClosedForm.zero()
+            pieces = ClosedForm()
             for j, c in enumerate(coeffs):
                 if c:
                     pieces = pieces + c * integrate_monomial_log(j, m, b)
@@ -432,11 +432,11 @@ class TestLogIntegralParts:
                 scale = 1 / ((1 + b) ** (n - 1))
                 assembled = (
                     ClosedForm({Log(1 + b): parts.log_one_plus_b(b)})
-                    + ClosedForm.constant(parts.rational(b))
+                    + ClosedForm.of(UNIT, parts.rational(b))
                     + (
                         ClosedForm({Log(b): parts.log_b(b)})
                         if b != 1
-                        else ClosedForm.zero()
+                        else ClosedForm()
                     )
                 ) * scale
                 assert assembled == unit_pole_log_integral(n, b)
@@ -521,7 +521,7 @@ class TestDriver:
             lower=F(0),
             upper=F(1),
         )
-        assert integrate_rational_log(spec) == ClosedForm.zero()
+        assert integrate_rational_log(spec) == ClosedForm()
 
     def test_pole_inside_interval(self):
         spec = IntegralSpec(

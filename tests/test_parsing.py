@@ -108,3 +108,18 @@ def test_parse_rational():
         parse_rational("three")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [LONG + "x", "x^" + LONG, "x/" + LONG, "3/" + LONG,
+     LONG + "(x+1)", "(x+" + LONG + ")", "(x+1)^" + LONG],
+    ids=["coefficient", "power", "divisor", "denominator", "constant", "shift", "multiplicity"],
+)
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(default_int_digit_limit, text):
+    with pytest.raises(ParseError) as info:
+        parse_denominator(text)
+    assert (info.value.pos, info.value.message) == (text.index(LONG), "integer literal too long")

@@ -388,7 +388,7 @@ def test_source_imports_only_the_standard_library():
 
 
 def test_source_has_one_owner_per_denominator_form():
-    # partial_fractions is the one place that factors an expanded Q, and
+    # ratfunc.factored is the one place that factors an expanded Q, and
     # the oracle multiplies out a factored Q itself: neither quadrature
     # nor the CLI, which hands Q to the oracle as parsed, uses `expand`.
     src = Path(__file__).resolve().parent.parent / "src" / "logint"

@@ -77,6 +77,20 @@ class TestFamilies:
             assert remainder == Polynomial()
             assert quotient == family_poly(n)
 
+    def test_harmonic_closed_form(self):
+        # An exact referee that shares no recurrence: the coefficient of
+        # b^j in s_n is (n-2)! (H_{n-2} - H_{n-3-j}), and t_n(b) = s_n(b+1),
+        # expanded here by the binomial theorem, not by Polynomial.shift.
+        for n in [*range(3, 61), 120]:
+            harmonic = [F(0)]
+            for i in range(1, n - 1):
+                harmonic.append(harmonic[-1] + F(1, i))
+            s = [math.factorial(n - 2) * (harmonic[n - 2] - harmonic[n - 3 - j])
+                 for j in range(n - 2)]
+            t = [sum(math.comb(j, i) * s[j] for j in range(i, n - 2)) for i in range(n - 2)]
+            assert shifted_family_poly(n) == Polynomial(s), n
+            assert family_poly(n) == Polynomial(t), n
+
     def test_validation(self):
         with pytest.raises(DomainError):
             family_poly(1)
