@@ -174,9 +174,6 @@ class Polynomial:
                 rem[shift + k] -= factor * other._coeffs[k]
         return Polynomial(quotient), Polynomial(rem)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
     # -- calculus / composition ----------------------------------------
 
     def derivative(self) -> "Polynomial":

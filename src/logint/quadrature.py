@@ -7,8 +7,8 @@ and decides the real poles exactly from Q's coefficients, so it shares
 no algebra with the routes it checks.  A polynomial P is (P, 1).  Q may
 be a Polynomial or a FactoredDenominator c * prod (x + s)^m, read by its
 `constant` and `factors` alone: the oracle multiplies it out itself, one
-linear factor at a time, and never by `FactoredDenominator.expand`, the
-expansion the closed form's route uses.
+linear factor at a time, in integers (`_multiplied_out`), and never by
+`FactoredDenominator.expand`, the expansion the closed form's route uses.
 
 For a = 0 with m >= 1 the integrand has a logarithmic singularity at the
 origin; the substitution x = exp(-u) turns int_0^s into
@@ -22,17 +22,18 @@ origin; the cut contributes to the reported error estimate.
 
 A real pole within the integration interval, or within rounding distance
 of either endpoint, raises SingularInterior, whose message names the
-float nearest the least such pole; an infinite upper limit counts only
-the poles at or above the lower one.  The test is exact, in integers on
-Q's coefficients: Descartes' rule of signs alone when they show no sign
-change and Q(0) != 0, as for every denominator whose poles are all
-negative; otherwise Sturm's theorem (Sturm, 1835), which counts Q's
-distinct real roots in any interval, and one bisection by that count,
-which names the pole.  Coefficients or bounds beyond float range raise
-DomainError; a tail that cannot be bounded raises NoConvergence.
-QUADPACK's subinterval limit bounds the work; a piece that reaches it
-short of the tolerance is not converged, and neither is a value that is
-not finite.
+float nearest the least such pole and says "inside" the interval or
+"within rounding distance of" it, as that float lies; an infinite upper
+limit counts only the poles at or above the lower one.  The test is
+exact, in integers on Q's coefficients: Descartes' rule of signs alone
+when they show no sign change and Q(0) != 0, as for every denominator
+whose poles are all negative; otherwise Sturm's theorem (Sturm, 1835),
+which counts Q's distinct real roots in any interval, and one bisection
+by that count, which names the pole.  Coefficients or bounds beyond
+float range raise DomainError; a tail that cannot be bounded raises
+NoConvergence.  QUADPACK's subinterval limit bounds the work; a piece
+that reaches it short of the tolerance is not converged, and neither is
+a value that is not finite.
 
 QUADPACK's QAGS (finite ranges) and QAGI ([a, inf)) run in-tree, from
 `logint.quadpack`; the tests referee that port against
@@ -190,6 +191,27 @@ def _pole_in(coeffs, lo: float, hi: float) -> float | None:
             a, va = m, vm
 
 
+def _multiplied_out(constant, factors) -> list[Fraction]:
+    """The coefficients of c * prod (x + p/s)^m, lowest degree first.
+
+    That product is (c / prod s^m) * prod (s x + p)^m.  The second
+    product is built in integers, one linear factor at a time, and the
+    scale is applied once, so each coefficient becomes a Fraction once.
+    The result is the rational Q that a product of Fraction polynomials
+    gives, so its floats are the same.
+    """
+    f = [1]
+    scale = 1
+    for shift, mult in factors:
+        p, s = shift.numerator, shift.denominator
+        scale *= s**mult
+        for _ in range(mult):
+            # f * (s x + p): the coefficient of x^k is p f_k + s f_(k-1).
+            f = [p * lo + s * hi for lo, hi in zip(f + [0], [0] + f)]
+    c = Fraction(constant, scale)
+    return [Fraction(c.numerator * a, c.denominator) for a in f]
+
+
 def quad_log(
     integrand: tuple,
     a,
@@ -211,19 +233,16 @@ def quad_log(
         if not hasattr(den, "factors"):
             raise TypeError("denominator must be a Polynomial or FactoredDenominator, "
                             f"got {type(den).__name__}")
-        # c * prod (x + s)^m, one linear factor at a time: cheaper than **.
-        q = Polynomial.constant(den.constant)
-        for shift, mult in den.factors:
-            for _ in range(mult):
-                q = q * Polynomial((shift, 1))
-        den = q
+        den_exact = _multiplied_out(den.constant, den.factors)
+    else:
+        den_exact = den.coeffs
     try:
         a = float(a)
         b = float(b)
         # Converted once, highest degree first: every node then costs
         # float arithmetic only, and the evaluation cannot overflow.
         num_coeffs = [float(c) for c in reversed(num.coeffs)]
-        den_coeffs = [float(c) for c in reversed(den.coeffs)]
+        den_coeffs = [float(c) for c in reversed(den_exact)]
     except OverflowError:
         raise DomainError(
             "an integrand coefficient or a bound is beyond floating-point range"
@@ -238,15 +257,16 @@ def quad_log(
     if not b > a:
         raise DomainError(f"need lower < upper, got [{a}, {b}]")
 
-    if den.is_zero:
+    if not any(den_exact):
         raise ZeroDenominator("denominator is identically zero")
-    # A pole within rounding distance of either endpoint counts as inside.
+    # A pole within rounding distance of either endpoint is refused too.
     pole = _pole_in(
-        den.coeffs, a - 1e-12 * (1.0 + a), b + 1e-12 * (1.0 + b)
+        den_exact, a - 1e-12 * (1.0 + a), b + 1e-12 * (1.0 + b)
     )
     if pole is not None:
+        where = "inside" if a <= pole <= b else "within rounding distance of"
         raise SingularInterior(
-            f"integrand has a pole at x = {pole:.17g} inside [{a:g}, {b:g}]"
+            f"integrand has a pole at x = {pole:.17g} {where} [{a:g}, {b:g}]"
         )
 
     def rational(xs: list[float]) -> list[float]:

@@ -11,7 +11,11 @@ of P/Q is
 
 computed entirely over the rationals: the polynomial part by exact long
 division, the residues by a Taylor expansion of the remainder around
-each pole followed by a truncated power-series division.
+each pole followed by a truncated power-series division.  The divisor
+of that series, the pole's cofactor (Q without the pole's factor), is
+Q's coefficients divided by (x - root) once per unit of multiplicity,
+each time by synthetic division (`_deflate`): O(deg Q) steps, with no
+power of (x + shift) and no long division.
 
 An expanded denominator is split into its rational linear factors first
 (`rational_roots_factorize`), in integer arithmetic on the primitive
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import NonRationalPole, PoleCollision, ZeroDenominator
 from .poly import Polynomial, exact, integer_at_least
@@ -130,6 +134,21 @@ def _divide_out(f: list[int], p: int, s: int) -> Optional[list[int]]:
             return None
         acc = f[k - 1] + p * g[k - 1]
     return g if acc == 0 else None
+
+
+def _deflate(f: Sequence[Fraction], root: Fraction) -> list[Fraction]:
+    """f / (x - root) for ascending rational coefficients f of which root
+    is a root, by synthetic division: g_(k-1) = f_k + root g_k from the
+    top.  The division must be exact; a remainder raises ArithmeticError.
+    """
+    g = [Fraction(0)] * (len(f) - 1)
+    acc = f[-1]
+    for k in range(len(g), 0, -1):
+        g[k - 1] = acc
+        acc = f[k - 1] + root * acc
+    if acc:
+        raise ArithmeticError(f"x = {root} is not a root of the denominator")
+    return g
 
 
 def rational_roots_factorize(
@@ -268,8 +287,10 @@ def partial_fractions(
     for shift, mult in denominator.factors:
         root = -shift
         # q with this factor removed, Taylor-expanded about the pole.
-        other = q_expanded // Polynomial((shift, 1)) ** mult
-        d = other.shift(root).coeffs  # d[0] = other(root) != 0
+        other = q_expanded.coeffs
+        for _ in range(mult):
+            other = _deflate(other, root)
+        d = Polynomial(other).shift(root).coeffs  # d[0] = other(root) != 0
         r = rem.shift(root).coeffs
         series: list[Fraction] = []
         for t in range(mult):

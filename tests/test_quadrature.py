@@ -141,6 +141,23 @@ class TestFailureModes:
         with pytest.raises(SingularInterior, match=r"x = 1\.5 inside \[1, 3\]"):
             quad_log(rational(ONE, den), 1, 3)
 
+    @pytest.mark.parametrize("den, a, b, message", [
+        # -1e-13 and 1 + 1e-13 lie outside [0, 1], within the oracle's
+        # 1e-12 margin around it.
+        (Polynomial((F(1, 10**13), 1)), 0, 1,
+         "x = -1e-13 within rounding distance of [0, 1]"),
+        (FactoredDenominator(F(-2, 3), ((-1 - F(1, 10**13), 2), (F(1), 1))), 0, 1,
+         "x = 1.0000000000000999 within rounding distance of [0, 1]"),
+        # On an end or within the interval, a pole is inside it.
+        (Polynomial((-1, 1)), 1, 2, "x = 1 inside [1, 2]"),
+        (FactoredDenominator(F(-2, 3), ((F(-1, 2), 2), (F(1), 1))), 0, 1,
+         "x = 0.5 inside [0, 1]"),
+    ], ids=["margin-below", "margin-above", "on-an-end", "within"])
+    def test_pole_message_says_where_the_pole_lies(self, den, a, b, message):
+        with pytest.raises(SingularInterior) as exc:
+            quad_log((ONE, den), a, b)
+        assert str(exc.value) == f"integrand has a pole at {message}"
+
     def test_pole_outside_is_fine(self):
         res = quad_log(rational(ONE, Polynomial((-4, 1))), 1, 2)
         assert res.converged
@@ -226,6 +243,13 @@ class TestFailureModes:
             quad_log(f, 0, 1, tol=0.0)
 
 
+def _named_pole(pole: float, a: float, b: float) -> str:
+    """How the oracle's SingularInterior names a pole at the float pole:
+    inside [a, b], or within rounding distance of it, in the margin."""
+    where = "inside" if a <= pole <= b else "within rounding distance of"
+    return f"pole at x = {pole:.17g} {where} [{a:g}, {b:g}]"
+
+
 def _check_pole_decision(den, a, b, roots):
     """quad_log on [a, b] against the exact real roots of den: it raises
     SingularInterior, naming the float nearest the least root, exactly
@@ -236,7 +260,7 @@ def _check_pole_decision(den, a, b, roots):
     if inside:
         with pytest.raises(SingularInterior) as exc:
             quad_log((ONE, den), a, b, m=0, tol=1e-6)
-        assert f"pole at x = {float(inside[0]):.17g} inside" in str(exc.value)
+        assert _named_pole(float(inside[0]), a, b) in str(exc.value)
         return
     assert _pole_in(den.coeffs, lo, hi) is None
     try:
@@ -309,7 +333,7 @@ class TestExactPoleDecision:
                 with pytest.raises(SingularInterior) as exc:
                     quad_log((ONE, den), a, b)
                 nearest = float(sympy.N(inside[0], 40))
-                assert f"pole at x = {nearest:.17g} inside" in str(exc.value)
+                assert _named_pole(nearest, a, b) in str(exc.value)
         assert time.perf_counter() - start < 60.0
 
     @pytest.mark.parametrize(
@@ -494,6 +518,17 @@ def test_oracle_multiplies_out_a_factored_denominator(monkeypatch):
     for _ in range(50):
         spec = random_spec(rng)
         cases.append((spec.numerator, spec.denominator, spec.lower, spec.upper, 1))
+    # Shifts p/s with s up to 4, multiplicities up to 10 and a constant
+    # that is not an integer, so that the scale prod s^m is exercised.
+    shifts = sorted({F(p, s) for p in range(-8, 21) for s in range(1, 5)})
+    for _ in range(30):
+        den = FactoredDenominator(
+            constant=rng.choice([F(-2, 3), F(7, 4), F(1)]),
+            factors=tuple((s, rng.randint(1, 10)) for s in rng.sample(shifts, rng.randint(1, 3))),
+        )
+        num = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [1])
+        a = F(rng.randint(0, 8), rng.randint(1, 4))
+        cases.append((num, den, a, a + F(rng.randint(1, 12), rng.randint(1, 4)), rng.randint(0, 2)))
 
     def refused(self):
         raise AssertionError("the oracle used FactoredDenominator.expand")
@@ -529,17 +564,23 @@ def test_oracle_names_an_integrand_of_the_wrong_type(num, den, part):
 def test_oracle_shares_no_polynomial_arithmetic(monkeypatch):
     # The oracle reads Q's coefficients and does its own integer
     # arithmetic on them, so it runs with Polynomial's arithmetic broken.
+    # A factored Q is multiplied out in integers, not by Polynomial
+    # products.
     double = (ONE, Polynomial((-F(4, 3), 1)) ** 2)
+    double_factored = (ONE, FactoredDenominator(1, ((-F(4, 3), 2),)))
     rootless = (Polynomial((1, 2)), Polynomial((3, -1, 1)))
+    factored = (Polynomial((1, 2)), FactoredDenominator(F(-2, 3), ((F(1, 3), 4), (F(5, 2), 1))))
 
     def broken(*args, **kwargs):
         raise AssertionError("the oracle used Polynomial arithmetic")
 
-    for name in ("__divmod__", "__mul__", "derivative", "shift"):
+    for name in ("__divmod__", "__mul__", "__pow__", "derivative", "shift"):
         monkeypatch.setattr(Polynomial, name, broken)
-    with pytest.raises(SingularInterior, match=r"x = 1\.3333333333333333 inside"):
-        quad_log(double, 0.7, F(47, 15))
+    for integrand in (double, double_factored):
+        with pytest.raises(SingularInterior, match=r"x = 1\.3333333333333333 inside"):
+            quad_log(integrand, 0.7, F(47, 15))
     assert quad_log(rootless, 0, 2).converged
+    assert quad_log(factored, 0, 2).converged
 
 
 # scipy's message for each ier QUADPACK can return with a value.

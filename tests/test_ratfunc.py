@@ -22,7 +22,7 @@ from logint import (
     partial_fractions,
     rational_roots_factorize,
 )
-from logint.ratfunc import _divisors
+from logint.ratfunc import _deflate, _divisors
 from specgen import random_spec
 
 
@@ -325,18 +325,42 @@ class TestPartialFractions:
     def test_recomposition_random(self):
         rng = random.Random(88)
         for _ in range(60):
-            num = self._random_poly(rng)
-            den = self._random_den(rng)
-            frf = partial_fractions(num, den)
-            p2, q2 = frf.recompose()
-            # P/Q == P2/Q2 as rational functions, with Q multiplied out
-            # here rather than by the route's own FactoredDenominator.expand.
-            q = Polynomial((den.constant,))
-            for shift, mult in den.factors:
-                q = q * Polynomial((shift, 1)) ** mult
-            assert num * q2 == p2 * q
+            self._check_recomposition(self._random_poly(rng), self._random_den(rng))
+
+    def test_recomposition_random_deep_poles(self):
+        # Shapes like the deep-poles benchmark's and beyond: multiplicities
+        # up to 10, shifts p/s with s <= 4 on both sides of 0, and now and
+        # then a numerator of higher degree than Q, so that the quotient
+        # is not zero.
+        rng = random.Random(89)
+        shifts = sorted({Fraction(p, s) for p in range(-12, 13) for s in range(1, 5)})
+        start = time.perf_counter()
+        for i in range(40):
+            den = FactoredDenominator(
+                constant=rng.choice([Fraction(1), Fraction(-2, 3), Fraction(5, 4)]),
+                factors=tuple((s, rng.randint(1, 10))
+                              for s in rng.sample(shifts, rng.randint(1, 3))),
+            )
+            degree = den.degree + rng.randint(0, 3) if i % 4 == 0 else rng.randint(0, den.degree - 1)
+            num = Polynomial([rng.randint(-20, 20) for _ in range(degree)] + [rng.randint(1, 20)])
+            self._check_recomposition(num, den)
+        assert time.perf_counter() - start < 60.0
+
+    @staticmethod
+    def _check_recomposition(num, den):
+        """partial_fractions(num, Q) recomposes to num/Q, with Q given
+        both factored (den) and expanded."""
+        # Q multiplied out here rather than by the route's own
+        # FactoredDenominator.expand.
+        q = Polynomial((den.constant,))
+        for shift, mult in den.factors:
+            q = q * Polynomial((shift, 1)) ** mult
+        for form in (den, q):
+            p2, q2 = partial_fractions(num, form).recompose()
+            # P/Q == P2/Q2 as rational functions.
+            assert num * q2 == p2 * q, (num, den, form)
             # The equation above holds for q2 = p2 = 0; Q itself does not.
-            assert q2 * den.constant == q
+            assert q2 * den.constant == q, (num, den, form)
 
     def test_recomposition_check_rejects_an_empty_recompose(self, monkeypatch):
         monkeypatch.setattr(
@@ -384,6 +408,37 @@ class TestPartialFractions:
             )
             assert sympy.cancel(sympy.apart(poly(num) / q, x) - ours) == 0, (num, den)
         assert time.perf_counter() - start < 30.0
+
+    def test_cofactor_needs_no_power_and_no_long_division(self, monkeypatch):
+        # Each pole's cofactor is Q divided by (x - root) by synthetic
+        # division: the one long division left is P's by Q, for the
+        # quotient.
+        divisions = []
+        divmod_ = Polynomial.__divmod__
+
+        def counted(self, other):
+            divisions.append(other)
+            return divmod_(self, other)
+
+        def refused(self, n):
+            raise AssertionError("partial_fractions raised a Polynomial to a power")
+
+        monkeypatch.setattr(Polynomial, "__divmod__", counted)
+        monkeypatch.setattr(Polynomial, "__pow__", refused)
+        den = FactoredDenominator(Fraction(-2, 3), ((Fraction(1, 3), 10), (Fraction(5, 2), 4),
+                                                    (Fraction(0), 2)))
+        num = Polynomial([1, -2, 3] * 6)
+        frf = partial_fractions(num, den)
+        assert len(divisions) == 1 and divisions[0].degree == den.degree
+        assert frf.quotient.degree == num.degree - den.degree
+        assert [len(pole.residues) for pole in frf.poles] == [10, 4, 2]
+
+    def test_deflate_divides_out_a_root_and_refuses_a_non_root(self):
+        # (x + 1)(x + 2) / (x + 1) = x + 2; x = 1 leaves the remainder 6.
+        q = [Fraction(2), Fraction(3), Fraction(1)]
+        assert _deflate(q, Fraction(-1)) == [Fraction(2), Fraction(1)]
+        with pytest.raises(ArithmeticError, match="x = 1 is not a root"):
+            _deflate(q, Fraction(1))
 
     def test_recompose_rejects_a_repeated_pole(self):
         pole = PoleTerm(shift=Fraction(1), residues=(Fraction(1),))
