@@ -43,7 +43,12 @@ from .errors import (
     UnsupportedPole,
 )
 from .poly import Polynomial, Scalar, exact, integer_at_least, positive
-from .ratfunc import FactoredDenominator, factored, partial_fractions
+from .ratfunc import (
+    FactoredDenominator,
+    FactoredRationalFunction,
+    factored,
+    partial_fractions,
+)
 
 
 def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
@@ -54,30 +59,47 @@ def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
     """
     integer_at_least(j, 0, "monomial degree")
     integer_at_least(k, 0, "log power")
-    b = positive(b, "upper limit")
-    scale = b ** (j + 1)
-    terms = []
-    for i in range(k + 1):
-        core = Fraction((-1) ** i * math.factorial(i), (j + 1) ** (i + 1))
-        atom = UNIT if i == k else Log(b, k - i)
-        terms.append((atom, scale * math.comb(k, i) * core))
-    return ClosedForm(terms)
+    return ClosedForm(_monomial_log_terms(j, k, positive(b, "upper limit")))
 
 
 def integrate_poly_log(p: Polynomial, b: Scalar, m: int) -> ClosedForm:
     """int_0^b P(x) (ln x)^m dx by linearity over the monomials."""
     b = positive(b, "upper limit")
     integer_at_least(m, 0, "log power")
-    return ClosedForm.combine(
-        (a, integrate_monomial_log(j, m, b)) for j, a in enumerate(p.coeffs) if a
-    )
+    return ClosedForm(_poly_log_terms(p, b, m))
 
 
 def integrate_simple_pole(b: Scalar, r: Scalar) -> ClosedForm:
     """int_0^b ln x / (x + r) dx  =  ln b ln((b+r)/r) + Li2(-b/r)."""
     b = positive(b, "upper limit")
-    r = positive(r, "pole parameter")
-    return ClosedForm(((LogProd(b, (b + r) / r), 1), (Dilog(-b / r), 1)))
+    return ClosedForm(_simple_pole_terms(b, positive(r, "pole parameter")))
+
+
+# Each piece's terms come from one generator, _<piece>_terms, which
+# yields raw (atom, coefficient) pairs from arguments the caller has
+# already checked (Fractions, b and r > 0).  The public piece functions
+# and the driver hand them to one ClosedForm, which reduces every atom
+# and merges equal ones.
+
+
+def _monomial_log_terms(j: int, k: int, b: Fraction):
+    scale = b ** (j + 1)
+    for i in range(k + 1):
+        core = Fraction((-1) ** i * math.factorial(i), (j + 1) ** (i + 1))
+        atom = UNIT if i == k else Log(b, k - i)
+        yield atom, scale * math.comb(k, i) * core
+
+
+def _poly_log_terms(p: Polynomial, b: Fraction, m: int):
+    for j, a in enumerate(p.coeffs):
+        if a:
+            for atom, c in _monomial_log_terms(j, m, b):
+                yield atom, a * c
+
+
+def _simple_pole_terms(b: Fraction, r: Fraction):
+    yield LogProd(b, (b + r) / r), 1
+    yield Dilog(-b / r), 1
 
 
 def integrate_two_simple_poles(
@@ -144,7 +166,10 @@ def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
     """
     integer_at_least(n, 2, "pole order")
     b = positive(b, "upper limit")
-    r = positive(r, "pole parameter")
+    return ClosedForm(_multiple_pole_terms(n, b, positive(r, "pole parameter")))
+
+
+def _multiple_pole_terms(n: int, b: Fraction, r: Fraction):
     t = b / r
     y = r / (b + r)
     y_k = Fraction(1)
@@ -156,9 +181,10 @@ def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
     c = (1 - y_k * y) * s
     # ln b stays split as ln r + ln(b/r): the canonical forms, and so the
     # golden digests, carry both atoms.
-    return ClosedForm(
-        ((Log(r), c), (Log(t), c), (Log(1 + t), -s), (UNIT, rest * s))
-    )
+    yield Log(r), c
+    yield Log(t), c
+    yield Log(1 + t), -s
+    yield UNIT, rest * s
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,20 +330,26 @@ def integrate_rational_log(spec: IntegralSpec) -> ClosedForm:
             )
 
     decomp = partial_fractions(spec.numerator, fd)
+    return ClosedForm(_rational_log_terms(decomp, spec))
 
-    # F(upper) - F(lower), with F(t) the integral based at 0 (F(0) = 0).
-    parts: list[tuple[Scalar, ClosedForm]] = []
+
+def _rational_log_terms(decomp: FactoredRationalFunction, spec: IntegralSpec):
+    # F(upper) - F(lower), with F(t) the integral based at 0 (F(0) = 0):
+    # the terms of every piece at both limits, each piece scaled once by
+    # its sign times its residue.
     for t, sign in ((spec.upper, 1), (spec.lower, -1)):
         if t == 0:
             continue
-        parts.append((sign, integrate_poly_log(decomp.quotient, t, spec.log_power)))
+        for atom, c in _poly_log_terms(decomp.quotient, t, spec.log_power):
+            yield atom, sign * c
         for pole in decomp.poles:
             for j, c in enumerate(pole.residues, start=1):
                 if not c:
                     continue
                 if j == 1:
-                    piece = integrate_simple_pole(t, pole.shift)
+                    piece = _simple_pole_terms(t, pole.shift)
                 else:
-                    piece = integrate_multiple_pole(j, t, pole.shift)
-                parts.append((sign * c, piece))
-    return ClosedForm.combine(parts)
+                    piece = _multiple_pole_terms(j, t, pole.shift)
+                w = sign * c
+                for atom, a in piece:
+                    yield atom, w * a

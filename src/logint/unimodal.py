@@ -31,10 +31,22 @@ from typing import Optional, Union
 from .errors import DomainError
 from .poly import Polynomial, integer_at_least
 
+# The largest family index either recurrence accepts.  Each step
+# multiplies polynomials of ever larger integers, so the work grows
+# faster than n^2: n = 1,000 takes seconds, and an unbounded n would
+# never return.
+MAX_FAMILY_INDEX = 1000
+
+
+def _check_family_index(n: int, least: int, what: str) -> None:
+    integer_at_least(n, least, what)
+    if n > MAX_FAMILY_INDEX:
+        raise DomainError(f"{what} must be at most {MAX_FAMILY_INDEX}")
+
 
 def family_poly(n: int) -> Polynomial:
-    """t_n for n >= 2 (t_2 = 0, first nonzero at n = 3)."""
-    integer_at_least(n, 2, "family index")
+    """t_n for 2 <= n <= MAX_FAMILY_INDEX (t_2 = 0, first nonzero at n = 3)."""
+    _check_family_index(n, 2, "family index")
     one_plus = Polynomial((1, 1))
     t = Polynomial()
     for k in range(3, n + 1):
@@ -45,9 +57,9 @@ def family_poly(n: int) -> Polynomial:
 
 
 def shifted_family_poly(n: int) -> Polynomial:
-    """s_n = t_n composed with b -> b - 1, for n >= 3, by its own
-    recurrence (s_3 = 1)."""
-    integer_at_least(n, 3, "shifted family index")
+    """s_n = t_n composed with b -> b - 1, for 3 <= n <= MAX_FAMILY_INDEX,
+    by its own recurrence (s_3 = 1)."""
+    _check_family_index(n, 3, "shifted family index")
     b = Polynomial.x()
     s = Polynomial((1,))
     for k in range(4, n + 1):

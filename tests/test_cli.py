@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -454,6 +455,15 @@ class TestUnimodal:
         code, _, err = run_cli(capsys, "unimodal", "--n", "1")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("family", ["base", "shifted"])
+    @pytest.mark.parametrize("n", ["1001", "100000000000000000000"])
+    def test_index_above_the_limit_exits_2_at_once(self, capsys, n, family):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "unimodal", "--n", n, "--family", family)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.endswith("family index must be at most 1000\n")
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit on str(int)"

@@ -34,6 +34,7 @@ from logint import (
     integrate_rational_log,
     integrate_simple_pole,
     integrate_two_simple_poles,
+    partial_fractions,
     quad_log,
     symmetric_two_pole_dilog,
     symmetric_two_pole_elementary,
@@ -41,7 +42,9 @@ from logint import (
     unit_pole_log_parts,
 )
 from specgen import (
+    BOUND_GRID,
     CONSTANTS,
+    POLE_GRID,
     linear_product,
     oracle_integrand,
     random_bounds,
@@ -724,3 +727,86 @@ class TestDriver:
         ref = 1.2499999937500000e-17
         got = integrate_rational_log(spec).evalf()
         assert abs(got - ref) <= 1e-6 * ref
+
+
+def _assembled_from_pieces(spec):
+    """The referee of the driver's assembly: one closed form per piece at
+    each limit, from the public piece functions, summed by
+    ClosedForm.combine over partial_fractions' residues."""
+    decomp = partial_fractions(spec.numerator, spec.denominator)
+    parts = []
+    for t, sign in ((spec.upper, 1), (spec.lower, -1)):
+        if t == 0:
+            continue
+        parts.append((sign, integrate_poly_log(decomp.quotient, t, spec.log_power)))
+        for pole in decomp.poles:
+            for j, c in enumerate(pole.residues, start=1):
+                if not c:
+                    continue
+                if j == 1:
+                    piece = integrate_simple_pole(t, pole.shift)
+                else:
+                    piece = integrate_multiple_pole(j, t, pole.shift)
+                parts.append((sign * c, piece))
+    return ClosedForm.combine(parts)
+
+
+def _deep_spec(rng):
+    # 1-3 poles of multiplicity up to 10; a numerator up to three
+    # degrees above Q's, so some specs have a quotient; lower > 0 in
+    # about nine of ten.
+    factors = tuple((s, rng.randint(1, 10)) for s in rng.sample(POLE_GRID, rng.randint(1, 3)))
+    den = FactoredDenominator(rng.choice(CONSTANTS), factors)
+    degree = sum(m for _, m in factors)
+    num = random_polynomial(rng, max_degree=rng.randint(0, degree + 3))
+    lower = F(0) if rng.random() < 0.1 else rng.choice(BOUND_GRID[:-1])
+    upper = rng.choice([u for u in BOUND_GRID if u > lower])
+    return IntegralSpec(num, den, lower, upper)
+
+
+class TestAssembly:
+    def _check(self, spec):
+        got = integrate_rational_log(spec)
+        want = _assembled_from_pieces(spec)
+        assert got == want
+        assert str(got) == str(want)
+        assert got.to_json() == want.to_json()
+
+    def test_specgen_corpus_matches_the_piecewise_assembly(self):
+        rng = random.Random(501)
+        for _ in range(200):
+            self._check(random_spec(rng))
+
+    def test_deep_poles_match_the_piecewise_assembly(self):
+        rng = random.Random(31)
+        specs = [_deep_spec(rng) for _ in range(200)]
+        assert sum(spec.lower > 0 for spec in specs) > 150
+        with_quotient = 0
+        for spec in specs:
+            self._check(spec)
+            with_quotient += bool(partial_fractions(spec.numerator, spec.denominator).quotient)
+        assert with_quotient >= 10
+
+    def test_polynomial_integrand_with_a_higher_log_power(self):
+        spec = IntegralSpec(Polynomial((3, 0, -1, 2)), Polynomial((F(1, 2),)), F(1, 3), F(5), log_power=3)
+        self._check(spec)
+
+    def test_one_closed_form_per_integral(self, monkeypatch):
+        # Three poles, a quotient and lower > 0: seven pieces at each
+        # limit, and one form for all fourteen.
+        den = FactoredDenominator(2, ((F(1, 2), 1), (F(1), 2), (F(3), 3)))
+        num = Polynomial((1, -2, 3, 0, 5, -1, 4, 2))
+        spec = IntegralSpec(num, den, F(1, 4), F(5))
+        assert partial_fractions(num, den).quotient
+        want = _assembled_from_pieces(spec)
+        calls = []
+        init = ClosedForm.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClosedForm, "__init__", counted)
+        got = integrate_rational_log(spec)
+        assert len(calls) == 1
+        assert got == want

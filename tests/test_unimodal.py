@@ -16,6 +16,7 @@ from logint import (
     shifted_family_poly,
     unit_pole_log_parts,
 )
+from logint.unimodal import MAX_FAMILY_INDEX
 
 F = Fraction
 
@@ -96,6 +97,18 @@ class TestFamilies:
             family_poly(1)
         with pytest.raises(DomainError):
             shifted_family_poly(2)
+
+    @pytest.mark.parametrize("family", [family_poly, shifted_family_poly])
+    @pytest.mark.parametrize("n", [MAX_FAMILY_INDEX + 1, 10**20])
+    def test_index_above_the_limit_is_refused_before_any_step(self, monkeypatch, family, n):
+        # Both recurrences cost more than n^2 big-integer steps, so an index
+        # past the limit is refused before the first polynomial is built.
+        def no_step(*args):
+            raise AssertionError("a refused index was computed")
+
+        monkeypatch.setattr("logint.unimodal.Polynomial", no_step)
+        with pytest.raises(DomainError, match=f"index must be at most {MAX_FAMILY_INDEX}$"):
+            family(n)
 
 
 class TestShapeChecks:
