@@ -21,6 +21,7 @@ from .dilog import DilogResult, PI_SQUARED, dilog, euler_identity_residual
 from .errors import (
     DegenerateInterval,
     DomainError,
+    LimitExceeded,
     NoConvergence,
     NonRationalPole,
     PoleCollision,
@@ -77,6 +78,7 @@ __all__ = [
     "FactoredDenominator",
     "FactoredRationalFunction",
     "IntegralSpec",
+    "LimitExceeded",
     "Log",
     "LogIntegralParts",
     "LogProd",

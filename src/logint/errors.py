@@ -36,6 +36,11 @@ class DegenerateInterval(DomainError):
     """The integration interval has zero width."""
 
 
+class LimitExceeded(DomainError):
+    """A size (a degree, a pole order, a log power or a family index)
+    exceeds the limit that bounds the work of one input."""
+
+
 class UnsupportedLogPower(DomainError):
     """Log powers m >= 2 are only available for polynomial integrands."""
 

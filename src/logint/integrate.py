@@ -42,13 +42,35 @@ from .errors import (
     UnsupportedLogPower,
     UnsupportedPole,
 )
-from .poly import Polynomial, Scalar, exact, integer_at_least, positive
+from .poly import (
+    MAX_DEGREE,
+    Polynomial,
+    Scalar,
+    at_most,
+    exact,
+    integer_at_least,
+    positive,
+)
 from .ratfunc import (
     FactoredDenominator,
     FactoredRationalFunction,
     factored,
     partial_fractions,
 )
+
+# The largest power m of ln x.  The closed form of x^j (ln x)^m has
+# m + 1 terms with coefficients near m!, so the work grows faster than
+# m^2: m = 1,000 takes well under a second for one monomial, and an
+# unbounded m would never return.  The largest pole order is MAX_DEGREE.
+MAX_LOG_POWER = 1000
+
+
+def _log_power(m: int, least: int, what: str) -> int:
+    return at_most(integer_at_least(m, least, what), MAX_LOG_POWER, what)
+
+
+def _pole_order(n: int) -> int:
+    return at_most(integer_at_least(n, 2, "pole order"), MAX_DEGREE, "pole order")
 
 
 def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
@@ -58,14 +80,14 @@ def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
     int_0^1 t^j (ln t)^k dt = (-1)^k k! / (j+1)^(k+1).
     """
     integer_at_least(j, 0, "monomial degree")
-    integer_at_least(k, 0, "log power")
+    _log_power(k, 0, "log power")
     return ClosedForm(_monomial_log_terms(j, k, positive(b, "upper limit")))
 
 
 def integrate_poly_log(p: Polynomial, b: Scalar, m: int) -> ClosedForm:
     """int_0^b P(x) (ln x)^m dx by linearity over the monomials."""
     b = positive(b, "upper limit")
-    integer_at_least(m, 0, "log power")
+    _log_power(m, 0, "log power")
     return ClosedForm(_poly_log_terms(p, b, m))
 
 
@@ -146,13 +168,14 @@ def symmetric_two_pole_dilog(a: Scalar, b: Scalar) -> ClosedForm:
 
 
 def unit_pole_log_integral(n: int, b: Scalar) -> ClosedForm:
-    """h_n(b) = int_0^b ln t / (1 + t)^n dt for n >= 2: the r = 1 case of
-    integrate_multiple_pole, whose ln r term vanishes."""
+    """h_n(b) = int_0^b ln t / (1 + t)^n dt for 2 <= n <= MAX_DEGREE: the
+    r = 1 case of integrate_multiple_pole, whose ln r term vanishes."""
     return integrate_multiple_pole(n, b, 1)
 
 
 def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
-    """f_n(b, r) = int_0^b ln x / (x + r)^n dx for n >= 2 and r > 0.
+    """f_n(b, r) = int_0^b ln x / (x + r)^n dx for 2 <= n <= MAX_DEGREE
+    and r > 0.
 
     Integrate by parts against (r^(1-n) - (x+r)^(1-n)) / (n-1), the
     antiderivative of (x+r)^(-n) that vanishes at 0, and expand
@@ -162,29 +185,48 @@ def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
         f_n(b, r) = [ (1 - y^(n-1)) ln b - ln(1 + b/r)
                       - sum_{k=1}^{n-2} (1 - y^k)/k ] / ((n-1) r^(n-1)).
 
+    It is evaluated in integers: with y = p/q, the sum is one integer
+    over lcm(1, ..., n-2) q^(n-2), built by Horner's rule in O(n)
+    integer operations, and each of the three coefficients is made a
+    Fraction once, at the end.
+
     At r = 1 this is h_n(b), which unit_pole_log_parts referees.
     """
-    integer_at_least(n, 2, "pole order")
+    _pole_order(n)
     b = positive(b, "upper limit")
     return ClosedForm(_multiple_pole_terms(n, b, positive(r, "pole parameter")))
 
 
 def _multiple_pole_terms(n: int, b: Fraction, r: Fraction):
-    t = b / r
-    y = r / (b + r)
-    y_k = Fraction(1)
-    rest = Fraction(0)
+    # In integers: with b = bn/bd and r = rn/rd, y = p/q for p = rn bd and
+    # q = bn rd + p, so b/r = bn rd/p and 1 + b/r = q/p, and with
+    # L = lcm(1, ..., n-2)
+    #
+    #   sum_{k=1}^{n-2} (1 - y^k)/k  =  N / (L q^(n-2)),
+    #   N = sum_{k=1}^{n-2} (L/k) (q^k - p^k) q^(n-2-k),
+    #
+    # which Horner's rule accumulates while p^k and q^k are carried.  Each
+    # coefficient is then one Fraction of two integers: no gcd in the loop.
+    bn, bd = b.numerator, b.denominator
+    rn, rd = r.numerator, r.denominator
+    p = rn * bd
+    q = bn * rd + p
+    lcm = math.lcm(*range(1, n - 1))
+    total, p_k, q_k = 0, 1, 1
     for k in range(1, n - 1):
-        y_k *= y
-        rest -= (1 - y_k) / k
-    s = 1 / ((n - 1) * r ** (n - 1))
-    c = (1 - y_k * y) * s
+        p_k *= p
+        q_k *= q
+        total = total * q + lcm // k * (q_k - p_k)
+    # 1/s = (n-1) r^(n-1) = scale / rd^(n-1).
+    rd_n = rd ** (n - 1)
+    scale = (n - 1) * rn ** (n - 1)
+    c = Fraction((q_k * q - p_k * p) * rd_n, q_k * q * scale)
     # ln b stays split as ln r + ln(b/r): the canonical forms, and so the
     # golden digests, carry both atoms.
     yield Log(r), c
-    yield Log(t), c
-    yield Log(1 + t), -s
-    yield UNIT, rest * s
+    yield Log(Fraction(bn * rd, p)), c
+    yield Log(Fraction(q, p)), Fraction(-rd_n, scale)
+    yield UNIT, Fraction(-total * rd_n, lcm * q_k * scale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +248,7 @@ class LogIntegralParts:
 
 
 def unit_pole_log_parts(n: int) -> LogIntegralParts:
-    """Polynomial coefficients of (1+b)^(n-1) h_n(b), n >= 2.
+    """Polynomial coefficients of (1+b)^(n-1) h_n(b), 2 <= n <= MAX_DEGREE.
 
     The independent referee of unit_pole_log_integral: it does not use
     that closed form, but raises the pole order one integration by parts
@@ -232,7 +274,7 @@ def unit_pole_log_parts(n: int) -> LogIntegralParts:
     each, so the whole recurrence costs O(n^2) integer operations.  A_n
     is built without it, so a wrong power still fails the check.
     """
-    integer_at_least(n, 2, "pole order")
+    _pole_order(n)
     # Ascending integer coefficients of A_k, B_k, C_k and (1+b)^(k-1).
     x_part, y_part, z_part, power = [0, 1], [-1, -1], [0, 0], [1, 1]
     fact = 1  # (k-3)! at step k
@@ -294,7 +336,7 @@ class IntegralSpec:
             raise DegenerateInterval(f"empty interval [{lower}, {upper}]")
         if upper < lower:
             raise DomainError(f"limits out of order: [{lower}, {upper}]")
-        integer_at_least(self.log_power, 1, "log_power")
+        _log_power(self.log_power, 1, "log_power")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

@@ -11,7 +11,10 @@ rational; ``(x-1)`` is accepted here (the factor has a positive root) and
 rejected later by the integration driver.
 
 Errors carry the source text and offset; ``annotate`` renders the
-two-line caret message used by the command-line tool.
+two-line caret message used by the command-line tool.  An exponent or a
+factor power above MAX_DEGREE is not a syntax error but a LimitExceeded
+(a DomainError), raised as soon as it is read, before any polynomial is
+built.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .poly import Polynomial
+from .poly import MAX_DEGREE, Polynomial, at_most
 from .ratfunc import FactoredDenominator
 
 
@@ -97,7 +100,7 @@ def _parse_term(sc: _Scanner) -> tuple[Fraction, int]:
         power = 1
         if sc.peek() == "^":
             sc.take()
-            power = sc.uint()
+            power = at_most(sc.uint(), MAX_DEGREE, "x exponent")
         if sc.peek() == "/":
             sc.take()
             div = sc.uint()
@@ -148,7 +151,7 @@ def _parse_factor(sc: _Scanner) -> tuple[Fraction, int]:
     mult = 1
     if sc.peek() == "^":
         sc.take()
-        mult = sc.uint()
+        mult = at_most(sc.uint(), MAX_DEGREE, "factor power")
         if mult == 0:
             raise sc.error("factor power must be >= 1")
     return shift, mult

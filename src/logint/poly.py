@@ -14,9 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, LimitExceeded
 
 Scalar = Union[int, Fraction]
+
+# The largest degree of a parsed polynomial or factored denominator, and
+# so the largest pole order.  Partial fractions and the multiple-pole
+# closed forms take O(n^2) steps in the degree n, so an unbounded n
+# would never return.
+MAX_DEGREE = 1000
 
 
 def exact(value: Scalar, what: str) -> Fraction:
@@ -40,6 +46,13 @@ def integer_at_least(value: int, least: int, what: str) -> int:
     A bool is refused: True is an int to Python, not a count to a caller."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise DomainError(f"{what} must be an integer >= {least}")
+    return value
+
+
+def at_most(value: int, most: int, what: str) -> int:
+    """``value``, which must be <= ``most`` (LimitExceeded if not)."""
+    if value > most:
+        raise LimitExceeded(f"{what} must be at most {most}")
     return value
 
 

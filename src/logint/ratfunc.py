@@ -36,12 +36,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import NonRationalPole, PoleCollision, ZeroDenominator
-from .poly import Polynomial, exact, integer_at_least
+from .poly import MAX_DEGREE, Polynomial, at_most, exact, integer_at_least
 
 
 @dataclass(frozen=True)
 class FactoredDenominator:
-    """Product  constant * prod_i (x + shift_i)^multiplicity_i."""
+    """Product  constant * prod_i (x + shift_i)^multiplicity_i, of degree
+    at most MAX_DEGREE."""
 
     constant: Fraction
     factors: tuple[tuple[Fraction, int], ...]  # (shift, multiplicity)
@@ -61,6 +62,7 @@ class FactoredDenominator:
             norm.append((shift, mult))
         object.__setattr__(self, "constant", const)
         object.__setattr__(self, "factors", tuple(norm))
+        at_most(self.degree, MAX_DEGREE, "denominator degree")
 
     def expand(self) -> Polynomial:
         """The product multiplied out, in integers.

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError
-from .poly import Polynomial, integer_at_least
+from .poly import Polynomial, at_most, integer_at_least
 
 # The largest family index either recurrence accepts.  Each step
 # multiplies polynomials of ever larger integers, so the work grows
@@ -39,9 +39,7 @@ MAX_FAMILY_INDEX = 1000
 
 
 def _check_family_index(n: int, least: int, what: str) -> None:
-    integer_at_least(n, least, what)
-    if n > MAX_FAMILY_INDEX:
-        raise DomainError(f"{what} must be at most {MAX_FAMILY_INDEX}")
+    at_most(integer_at_least(n, least, what), MAX_FAMILY_INDEX, what)
 
 
 def family_poly(n: int) -> Polynomial:

@@ -221,6 +221,19 @@ class TestIntegrate:
         assert (code, out) == (2, "")
         assert err == "error: dilog argument is beyond floating-point range\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--num", "1", "--den", "1", "--power", "100000000"], "log_power must be at most 1000"),
+        (["--num", "x^100000000", "--den", "1"], "x exponent must be at most 1000"),
+        (["--num", "1", "--den", "(x+1)^100000000"], "factor power must be at most 1000"),
+        (["--num", "1", "--den", "(x+1)^600(x+2)^401"], "denominator degree must be at most 1000"),
+    ], ids=["log-power", "exponent", "factor-power", "degree"])
+    def test_size_above_the_limit_exits_2_at_once(self, capsys, flags, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "integrate", *flags, "--lower", "1", "--upper", "2")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
     @pytest.mark.parametrize("flag,text", [("--num", "{}"), ("--den", "(x+{})")])
     def test_integer_literal_past_the_digit_limit_exits_1(
@@ -519,6 +532,23 @@ class TestVerifyBatch:
         assert records[1]["ok"] is False and records[1]["kind"] == "parse"
         assert records[2]["ok"] is False and records[2]["kind"] == "domain"
         assert code == 2  # worst failure wins
+
+    def test_log_power_above_the_limit_is_a_domain_record(self, capsys, monkeypatch):
+        jobs = [
+            {"num": "1", "den": "1", "lower": "1", "upper": "2", "power": 100000000},
+            {"num": "1", "den": "(x+1)", "lower": "0", "upper": "1"},
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(j) + "\n" for j in jobs)))
+        start = time.perf_counter()
+        code = main(["verify-batch"])
+        assert time.perf_counter() - start < 1.0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert records[0] == {
+            "index": 0, "ok": False, "kind": "domain",
+            "error": "log_power must be at most 1000",
+        }
+        assert records[1]["ok"] is True
+        assert code == 2
 
     def test_values_beyond_float_range_do_not_abort_the_batch(self, capsys, monkeypatch):
         jobs = [

@@ -18,6 +18,7 @@ from logint import (
     DomainError,
     FactoredDenominator,
     IntegralSpec,
+    LimitExceeded,
     Log,
     LogProd,
     NonRationalPole,
@@ -41,6 +42,8 @@ from logint import (
     unit_pole_log_integral,
     unit_pole_log_parts,
 )
+from logint.integrate import MAX_LOG_POWER, _multiple_pole_terms
+from logint.poly import MAX_DEGREE
 from specgen import (
     BOUND_GRID,
     CONSTANTS,
@@ -91,6 +94,17 @@ class TestMonomialLog:
         with pytest.raises(TypeError):
             integrate_monomial_log(0, 1, 1.0)
 
+    @pytest.mark.parametrize("k", [MAX_LOG_POWER + 1, 10**20])
+    def test_log_power_above_the_limit_is_refused_before_any_step(self, monkeypatch, k):
+        monkeypatch.setattr("logint.integrate._monomial_log_terms", _no_decomposition)
+        with pytest.raises(LimitExceeded, match=f"log power must be at most {MAX_LOG_POWER}$"):
+            integrate_monomial_log(0, k, 2)
+
+    def test_log_power_at_the_limit(self):
+        # int_0^1 (ln x)^m dx = (-1)^m m!
+        got = integrate_monomial_log(0, MAX_LOG_POWER, 1)
+        assert got == ClosedForm.of(UNIT, math.factorial(MAX_LOG_POWER))
+
 
 class TestPolyLog:
     def test_matches_monomial(self):
@@ -111,6 +125,12 @@ class TestPolyLog:
 
     def test_zero_polynomial(self):
         assert integrate_poly_log(Polynomial(), 3, 1) == ClosedForm()
+
+    @pytest.mark.parametrize("m", [MAX_LOG_POWER + 1, 10**20])
+    def test_log_power_above_the_limit_is_refused_before_any_step(self, monkeypatch, m):
+        monkeypatch.setattr("logint.integrate._poly_log_terms", _no_decomposition)
+        with pytest.raises(LimitExceeded, match=f"log power must be at most {MAX_LOG_POWER}$"):
+            integrate_poly_log(Polynomial((1, 1)), 2, m)
 
     def test_linearity_random(self):
         rng = random.Random(12)
@@ -281,6 +301,12 @@ class TestUnitPoleIntegral:
         with pytest.raises(DomainError):
             unit_pole_log_integral(3, 0)
 
+    @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**20])
+    def test_order_above_the_limit_is_refused_before_any_step(self, monkeypatch, n):
+        monkeypatch.setattr("logint.integrate._multiple_pole_terms", _no_decomposition)
+        with pytest.raises(LimitExceeded, match=f"pole order must be at most {MAX_DEGREE}$"):
+            unit_pole_log_integral(n, 1)
+
 
 class TestMultiplePole:
     def test_order_two_unit(self):
@@ -363,6 +389,47 @@ class TestMultiplePole:
         with pytest.raises(DomainError):
             integrate_multiple_pole(2, 1, 0)
 
+    @staticmethod
+    def _fraction_loop_terms(n, b, r):
+        """The terms of f_n(b, r) by a loop of reduced Fractions, one per
+        power of y = r/(b+r): the referee of the integer evaluation."""
+        t = b / r
+        y = r / (b + r)
+        y_k = F(1)
+        rest = F(0)
+        for k in range(1, n - 1):
+            y_k *= y
+            rest -= (1 - y_k) / k
+        s = 1 / ((n - 1) * r ** (n - 1))
+        c = (1 - y_k * y) * s
+        return [(Log(r), c), (Log(t), c), (Log(1 + t), -s), (UNIT, rest * s)]
+
+    def test_matches_the_fraction_loop(self):
+        # b from the quarter grid and r from the half-integer grid, then
+        # extremes both ways, b = r and b = r^2.
+        rng = random.Random(33)
+        tiny, huge = F(3, 10**15), F(10**20, 7)
+        fixed = [(huge, tiny), (tiny, huge), (huge, F(1, 2)), (tiny, F(5))]
+        for r in (F(1, 2), F(3), F(2, 3), tiny, huge):
+            fixed += [(r, r), (r * r, r)]
+        for n in [*range(2, 61), 200]:
+            pairs = fixed + [(rng.choice(BOUND_GRID), rng.choice(POLE_GRID)) for _ in range(6)]
+            for b, r in pairs:
+                want = self._fraction_loop_terms(n, b, r)
+                assert list(_multiple_pole_terms(n, b, r)) == want, (n, b, r)
+                assert integrate_multiple_pole(n, b, r) == ClosedForm(want), (n, b, r)
+
+    @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**20])
+    def test_order_above_the_limit_is_refused_before_any_step(self, monkeypatch, n):
+        monkeypatch.setattr("logint.integrate._multiple_pole_terms", _no_decomposition)
+        with pytest.raises(LimitExceeded, match=f"pole order must be at most {MAX_DEGREE}$"):
+            integrate_multiple_pole(n, 1, 1)
+
+    def test_order_at_the_limit(self):
+        n, b, r = MAX_DEGREE, F(7, 2), F(1, 3)
+        want = ClosedForm(self._fraction_loop_terms(n, b, r))
+        assert integrate_multiple_pole(n, b, r) == want
+
 
 class TestLogIntegralParts:
     @staticmethod
@@ -391,6 +458,12 @@ class TestLogIntegralParts:
             parts = unit_pole_log_parts(n)
             got = (parts.log_b, parts.log_one_plus_b, parts.rational)
             assert got == self._fraction_recurrence(n), n
+
+    @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**20])
+    def test_order_above_the_limit_is_refused(self, n):
+        # At 10^20 the recurrence would never return.
+        with pytest.raises(LimitExceeded, match=f"pole order must be at most {MAX_DEGREE}$"):
+            unit_pole_log_parts(n)
 
     def test_base_case(self):
         parts = unit_pole_log_parts(2)
@@ -593,6 +666,11 @@ class TestDriver:
             IntegralSpec(num, den, F(0), F(1), log_power=True)
         with pytest.raises(TypeError):
             IntegralSpec(num, den, 0.0, F(1))
+
+    @pytest.mark.parametrize("power", [MAX_LOG_POWER + 1, 10**8])
+    def test_spec_refuses_a_log_power_above_the_limit(self, power):
+        with pytest.raises(LimitExceeded, match=f"log_power must be at most {MAX_LOG_POWER}$"):
+            IntegralSpec(Polynomial((1,)), Polynomial((1,)), F(1), F(2), log_power=power)
 
     @pytest.mark.parametrize("num, den, field", [
         ([1], Polynomial((1, 1)), "numerator must be a Polynomial"),

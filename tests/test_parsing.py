@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from logint import FactoredDenominator, Polynomial
+from logint import FactoredDenominator, LimitExceeded, Polynomial
+from logint.poly import MAX_DEGREE
 from logint.parsing import (
     ParseError,
     parse_denominator,
@@ -123,3 +124,33 @@ def test_integer_literal_past_the_digit_limit_is_a_parse_error(default_int_digit
     with pytest.raises(ParseError) as info:
         parse_denominator(text)
     assert (info.value.pos, info.value.message) == (text.index(LONG), "integer literal too long")
+
+
+def _no_polynomial(*args):
+    raise AssertionError("a refused exponent was densified")
+
+
+@pytest.mark.parametrize("text", [f"x^{MAX_DEGREE + 1}", "1 + 2x - x^100000000"])
+def test_exponent_above_the_limit_is_refused_before_densifying(monkeypatch, text):
+    monkeypatch.setattr("logint.parsing.Polynomial", _no_polynomial)
+    with pytest.raises(LimitExceeded, match=f"x exponent must be at most {MAX_DEGREE}$"):
+        parse_polynomial(text)
+
+
+def test_exponent_at_the_limit():
+    assert parse_polynomial(f"2x^{MAX_DEGREE} + 1").degree == MAX_DEGREE
+
+
+@pytest.mark.parametrize("text, what", [
+    (f"(x+1)^{MAX_DEGREE + 1}", "factor power"),
+    ("(x+1)(x+2)^100000000", "factor power"),
+    (f"(x+1)^{MAX_DEGREE // 2}(x+2)^{MAX_DEGREE // 2 + 1}", "denominator degree"),
+    (f"(x+1)^{MAX_DEGREE}(x+1)", "denominator degree"),
+])
+def test_factor_power_above_the_limit_is_refused(text, what):
+    with pytest.raises(LimitExceeded, match=f"{what} must be at most {MAX_DEGREE}$"):
+        parse_factored(text)
+
+
+def test_factored_degree_at_the_limit():
+    assert parse_factored(f"(x+1)^{MAX_DEGREE - 1}(x+2)").degree == MAX_DEGREE

@@ -13,6 +13,7 @@ from logint import (
     DomainError,
     FactoredDenominator,
     FactoredRationalFunction,
+    LimitExceeded,
     NonRationalPole,
     PoleCollision,
     PoleTerm,
@@ -22,6 +23,7 @@ from logint import (
     partial_fractions,
     rational_roots_factorize,
 )
+from logint.poly import MAX_DEGREE
 from logint.ratfunc import _deflate, _divisors
 from specgen import random_spec
 
@@ -211,6 +213,18 @@ class TestFactoredDenominator:
             )
         with pytest.raises(ValueError):
             FactoredDenominator(constant=Fraction(1), factors=((Fraction(1), 0),))
+
+    @pytest.mark.parametrize(
+        "mults", [(MAX_DEGREE + 1,), (MAX_DEGREE // 2, MAX_DEGREE // 2 + 1), (10**20, 1)]
+    )
+    def test_degree_above_the_limit_is_refused(self, mults):
+        factors = tuple((Fraction(k + 1), m) for k, m in enumerate(mults))
+        with pytest.raises(LimitExceeded, match=f"denominator degree must be at most {MAX_DEGREE}$"):
+            FactoredDenominator(1, factors)
+
+    def test_degree_at_the_limit(self):
+        den = FactoredDenominator(1, ((Fraction(1), MAX_DEGREE - 1), (Fraction(2), 1)))
+        assert den.degree == MAX_DEGREE
 
     @staticmethod
     def _factor_sets():

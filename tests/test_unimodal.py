@@ -8,6 +8,7 @@ import pytest
 
 from logint import (
     DomainError,
+    LimitExceeded,
     Polynomial,
     check_nondecreasing,
     check_unimodal,
@@ -109,6 +110,11 @@ class TestFamilies:
         monkeypatch.setattr("logint.unimodal.Polynomial", no_step)
         with pytest.raises(DomainError, match=f"index must be at most {MAX_FAMILY_INDEX}$"):
             family(n)
+
+    @pytest.mark.parametrize("family", [family_poly, shifted_family_poly])
+    def test_index_above_the_limit_is_a_limit_error(self, family):
+        with pytest.raises(LimitExceeded):
+            family(MAX_FAMILY_INDEX + 1)
 
 
 class TestShapeChecks:
