@@ -29,8 +29,11 @@ exact, in integers on Q's coefficients: Descartes' rule of signs alone
 when they show no sign change and Q(0) != 0, as for every denominator
 whose poles are all negative; otherwise Sturm's theorem (Sturm, 1835),
 which counts Q's distinct real roots in any interval, and one bisection
-by that count, which names the pole.  Coefficients or bounds beyond
-float range raise DomainError; a tail that cannot be bounded raises
+by that count, which names the pole.  A bound beyond float range
+raises DomainError.  Coefficients beyond it are scaled, P's and Q's
+each by a power of two, and each node's ratio is scaled back by
+math.ldexp; but if the exact P/Q is beyond float range at the limits,
+that is a DomainError too.  A tail that cannot be bounded raises
 NoConvergence.  QUADPACK's subinterval limit bounds the work; a piece
 that reaches it short of the tolerance is not converged, and neither is
 a value that is not finite.
@@ -212,6 +215,47 @@ def _multiplied_out(constant, factors) -> list[Fraction]:
     return [Fraction(c.numerator * a, c.denominator) for a in f]
 
 
+def _scaled_floats(coeffs) -> tuple[list[float], int]:
+    """(floats, e): c / 2^e as a float for each coefficient c, highest
+    degree first, with 2^e putting the largest |c| near 2^512, the middle
+    of float range, so that Horner's sums keep room on both sides."""
+    top = max((c.numerator.bit_length() - c.denominator.bit_length()
+               for c in coeffs if c), default=0)
+    e = top - 512
+    unit = Fraction(2) ** -e
+    return [float(c * unit) for c in reversed(coeffs)], e
+
+
+def _times_power_of_two(r: float, e: int) -> float:
+    """r * 2^e, infinite past float range."""
+    try:
+        return math.ldexp(r, e)
+    except OverflowError:
+        return math.copysign(math.inf, r)
+
+
+def _representable(v: Fraction) -> bool:
+    """Whether float(v) neither overflows nor rounds a nonzero v to 0."""
+    try:
+        return v == 0 or float(v) != 0.0
+    except OverflowError:
+        return False
+
+
+def _refuse_beyond_float_range(
+    num: Polynomial, den: Polynomial, a: float, b: float
+) -> None:
+    """Raise DomainError if the exact P/Q is beyond float range at every
+    finite limit that is no pole of it."""
+    values = []
+    for x in (Fraction(t) for t in (a, b) if math.isfinite(t)):
+        q = den(x)
+        if q:
+            values.append(num(x) / q)
+    if values and not any(map(_representable, values)):
+        raise DomainError("the integrand is beyond floating-point range at the limits")
+
+
 def quad_log(
     integrand: tuple,
     a,
@@ -239,14 +283,19 @@ def quad_log(
     try:
         a = float(a)
         b = float(b)
+    except OverflowError:
+        raise DomainError("a bound is beyond floating-point range") from None
+    scale = 0  # each node's P/Q is its ratio of floats times 2^scale
+    try:
         # Converted once, highest degree first: every node then costs
         # float arithmetic only, and the evaluation cannot overflow.
         num_coeffs = [float(c) for c in reversed(num.coeffs)]
         den_coeffs = [float(c) for c in reversed(den_exact)]
     except OverflowError:
-        raise DomainError(
-            "an integrand coefficient or a bound is beyond floating-point range"
-        ) from None
+        _refuse_beyond_float_range(num, Polynomial(den_exact), a, b)
+        num_coeffs, num_exp = _scaled_floats(num.coeffs)
+        den_coeffs, den_exp = _scaled_floats(den_exact)
+        scale = num_exp - den_exp
     integer_at_least(m, 0, "log power")
     if m > 60:
         raise DomainError("log power too large for the tail bound")
@@ -291,6 +340,12 @@ def quad_log(
                     f"integrand has a pole at x = {x:.17g} inside [{a:g}, {b:g}]"
                 ) from None
         return out
+
+    if scale:
+        unscaled = rational
+
+        def rational(xs: list[float]) -> list[float]:
+            return [_times_power_of_two(r, scale) for r in unscaled(xs)]
 
     def log_weighted(xs: list[float]) -> list[float]:
         return [fx * math.log(x) ** m for fx, x in zip(rational(xs), xs)]

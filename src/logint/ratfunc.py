@@ -10,12 +10,16 @@ of P/Q is
           residues[i][j-1] / (x + shift_i)^j
 
 computed entirely over the rationals: the polynomial part by exact long
-division, the residues by a Taylor expansion of the remainder around
-each pole followed by a truncated power-series division.  The divisor
-of that series, the pole's cofactor (Q without the pole's factor), is
-Q's coefficients divided by (x - root) once per unit of multiplicity,
-each time by synthetic division (`_deflate`): O(deg Q) steps, with no
-power of (x + shift) and no long division.
+division, needed only when deg P >= deg Q, and the residues at a pole of
+multiplicity m by a truncated power-series division of the numerator's
+Taylor head there (P's first m Taylor coefficients) by the cofactor's
+series.  The residues need no remainder P mod Q: P and the remainder
+differ by quotient * Q, which adds to P over the cofactor only terms of
+order m and above.  The head is m synthetic divisions of P by
+(x - root), keeping each remainder; the cofactor (Q without the pole's
+factor) is Q's coefficients divided by (x - root) m times by the same
+step (`_synthetic_division`), which must leave no remainder there
+(`_deflate`).  Neither needs a power of (x + shift) or a long division.
 
 An expanded denominator is split into its rational linear factors first
 (`rational_roots_factorize`), in integer arithmetic on the primitive
@@ -138,19 +142,42 @@ def _divide_out(f: list[int], p: int, s: int) -> Optional[list[int]]:
     return g if acc == 0 else None
 
 
-def _deflate(f: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """f / (x - root) for ascending rational coefficients f of which root
-    is a root, by synthetic division: g_(k-1) = f_k + root g_k from the
-    top.  The division must be exact; a remainder raises ArithmeticError.
-    """
+def _synthetic_division(
+    f: Sequence[Fraction], root: Fraction
+) -> tuple[list[Fraction], Fraction]:
+    """(g, r) with f = (x - root) g + r, for ascending rational
+    coefficients f, by synthetic division: g_(k-1) = f_k + root g_k from
+    the top, and r = f(root).  The zero polynomial gives ([], 0)."""
+    if not f:
+        return [], Fraction(0)
     g = [Fraction(0)] * (len(f) - 1)
     acc = f[-1]
     for k in range(len(g), 0, -1):
         g[k - 1] = acc
         acc = f[k - 1] + root * acc
-    if acc:
+    return g, acc
+
+
+def _deflate(f: Sequence[Fraction], root: Fraction) -> list[Fraction]:
+    """f / (x - root) for ascending rational coefficients f of which root
+    is a root.  The division must be exact; a remainder raises
+    ArithmeticError.
+    """
+    g, r = _synthetic_division(f, root)
+    if r:
         raise ArithmeticError(f"x = {root} is not a root of the denominator")
     return g
+
+
+def _taylor_head(f: Sequence[Fraction], root: Fraction, n: int) -> list[Fraction]:
+    """The first n Taylor coefficients of f at root, f(root) first: the
+    remainders of n synthetic divisions by (x - root), each dividing the
+    quotient of the one before."""
+    head = []
+    for _ in range(n):
+        f, r = _synthetic_division(f, root)
+        head.append(r)
+    return head
 
 
 def rational_roots_factorize(
@@ -280,10 +307,17 @@ def partial_fractions(
 
     A plain Polynomial denominator is factored first; a factor with no
     rational root raises NonRationalPole.
+
+    At a pole of multiplicity m the residues are the first m Taylor
+    coefficients of P over the cofactor, the series of P's Taylor head
+    divided by the cofactor's.  They are those of (P mod Q) over the
+    cofactor too, so P is divided by Q only for a nonzero quotient.
     """
     denominator = factored(denominator)
     q_expanded = denominator.expand()
-    quotient, rem = divmod(numerator, q_expanded)
+    quotient = Polynomial()
+    if numerator.degree >= q_expanded.degree:
+        quotient = divmod(numerator, q_expanded)[0]
 
     poles: list[PoleTerm] = []
     for shift, mult in denominator.factors:
@@ -293,11 +327,10 @@ def partial_fractions(
         for _ in range(mult):
             other = _deflate(other, root)
         d = Polynomial(other).shift(root).coeffs  # d[0] = other(root) != 0
-        r = rem.shift(root).coeffs
+        r = _taylor_head(numerator.coeffs, root, mult)
         series: list[Fraction] = []
         for t in range(mult):
-            num = r[t] if t < len(r) else Fraction(0)
-            num -= sum(series[u] * d[t - u] for u in range(t) if t - u < len(d))
+            num = r[t] - sum(series[u] * d[t - u] for u in range(t) if t - u < len(d))
             series.append(num / d[0])
         residues = tuple(series[mult - j] for j in range(1, mult + 1))
         poles.append(PoleTerm(shift=shift, residues=residues))

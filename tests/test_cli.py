@@ -212,6 +212,18 @@ class TestIntegrate:
         assert (code, out) == (2, "")
         assert err == "error: the value of the closed form is beyond floating-point range\n"
 
+    def test_verify_with_coefficients_beyond_float_range(self, capsys):
+        # 10^400 / (10^400 x + 10^400) is 1/(x + 1).  The oracle scales
+        # each polynomial's coefficients into float range.
+        big = "1" + "0" * 400
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--num", big, "--den", f"{big}x+{big}",
+            "--lower", "1", "--upper", "2", "--verify",
+        )
+        assert (code, err) == (0, "")
+        assert "verified: ok" in out
+
     def test_dilog_argument_beyond_float_range_exits_2(self, capsys):
         # The closed form holds Li2(-10^400).
         code, out, err = run_cli(

@@ -104,6 +104,22 @@ def test_constant_hashes_as_its_scalar():
     assert Polynomial() in {0}
 
 
+def test_equal_polynomials_hash_alike():
+    p, q = Polynomial((1, 2)), Polynomial((Fraction(2, 2), Fraction(4, 2), 0))
+    assert p == q and hash(p) == hash(q)
+    assert {p: "found"}[q] == "found"
+    assert len({p, q, Polynomial((2, 1))}) == 2
+
+
+def test_scalar_minus_polynomial():
+    p = Polynomial((1, 2, Fraction(1, 3)))
+    assert 3 - p == Polynomial((2, -2, Fraction(-1, 3)))
+    assert Fraction(1, 2) - p == Polynomial((Fraction(-1, 2), -2, Fraction(-1, 3)))
+    assert 1 - Polynomial((1,)) == Polynomial()
+    with pytest.raises(TypeError):
+        0.5 - p
+
+
 def test_arithmetic_identities_random():
     rng = random.Random(101)
     for _ in range(60):

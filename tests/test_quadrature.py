@@ -24,7 +24,7 @@ from logint import (
     ZeroDenominator,
     quad_log,
 )
-from logint.quadpack import _XGK21, qagi, qags
+from logint.quadpack import _XGK21, EPMACH, _ieee_div, qagi, qags
 from logint.quadrature import _pole_in
 from specgen import linear_product, random_spec
 
@@ -202,6 +202,39 @@ class TestFailureModes:
     def test_bound_beyond_float_range(self):
         with pytest.raises(DomainError, match="beyond floating-point range"):
             quad_log(rational(ONE, Polynomial((1, 1))), 1, F(10**400))
+
+    @pytest.mark.parametrize(
+        "den",
+        [FactoredDenominator(2**1100, ((F(1), 1),)), Polynomial((2**1100, 2**1100))],
+        ids=["factored", "expanded"],
+    )
+    def test_coefficients_beyond_float_range_are_scaled(self, den):
+        # 2^1100 / (2^1100 (x + 1)) is 1/(x + 1).  P and Q are each scaled
+        # by a power of two, so every node's ratio keeps its bits.
+        got = quad_log(rational(Polynomial((2**1100,)), den), 1, 2)
+        assert got == quad_log(rational(ONE, FactoredDenominator(1, ((F(1), 1),))), 1, 2)
+
+    def test_denominator_with_coefficients_past_2_to_the_1024(self):
+        # Q's coefficients reach about 2^1287.  1/Q is about 2^-953 at
+        # x = 1/2 and falls below the least float before x = 1.
+        den = FactoredDenominator(1, ((F(1), 500), (F(2), 500)))
+        res = quad_log(rational(ONE, den), F(1, 2), 1)
+        with mpmath.workdps(30):
+            want = mpmath.quad(
+                lambda x: mpmath.log(x) / ((x + 1) ** 500 * (x + 2) ** 500),
+                [0.5, 0.6, 0.7, 1],
+            )
+        assert res.converged
+        assert abs(res.value - want) <= res.abs_error_estimate
+
+    def test_integrand_past_float_range_inside_is_not_converged(self):
+        # 10^400 (x - 1)/(x + 1) is 0 at x = 1, so it is integrated, but
+        # every node's ratio is past float range: it reads inf, and no
+        # OverflowError escapes.
+        big = 10**400
+        res = quad_log(rational(Polynomial((-big, big)), Polynomial((1, 1))), 1, 2)
+        assert res.value == math.inf
+        assert not res.converged
 
     def test_infinite_value_is_not_converged(self):
         # The sum overflows; inf <= max(tol, 1e-12 * inf) must not pass.
@@ -703,3 +736,43 @@ def test_quadpack_evaluates_scipys_nodes_in_scipys_order():
             ours.sort()
             theirs.sort()
         assert ours == theirs, (a, b, epsabs, epsrel, limit)
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [lambda f, **kw: qags(f, 0.0, 1.0, **kw), lambda f, **kw: qagi(f, 0.0, **kw)],
+    ids=["qags", "qagi"],
+)
+@pytest.mark.parametrize(
+    "epsabs, epsrel, limit",
+    [(1e-10, 1e-10, 0), (0.0, 0.0, 50), (-1.0, 49 * EPMACH, 50)],
+    ids=["no-subinterval", "no-tolerance", "relative-tolerance-too-small"],
+)
+def test_quadpack_refuses_invalid_input_with_ier_6(quad, epsabs, epsrel, limit):
+    # QUADPACK's ier = 6, before any evaluation.  scipy checks these
+    # arguments in Python and raises before QUADPACK runs, so it cannot
+    # referee this return.
+    def never(xs):
+        raise AssertionError("the integrand was evaluated")
+
+    assert quad(never, epsabs=epsabs, epsrel=epsrel, limit=limit) == (0.0, 0.0, 0, 6)
+
+
+def test_quadpack_accepts_the_least_relative_tolerance():
+    res = qags(lambda xs: [1.0 / (1.0 + x * x) for x in xs], 0.0, 1.0,
+               epsabs=0.0, epsrel=50 * EPMACH, limit=50)
+    assert res.ier != 6 and res.neval > 0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1.0, 0.0), (-1.0, 0.0), (1.0, -0.0), (-2.5, -0.0), (math.inf, 0.0),
+     (0.0, 0.0), (-0.0, -0.0), (math.nan, 0.0), (3.0, -2.0)],
+)
+def test_ieee_div_is_the_ieee_quotient(x, y):
+    # numpy divides float64s as IEEE 754 does, returning inf or nan at a
+    # zero divisor where Python raises ZeroDivisionError.
+    np = pytest.importorskip("numpy")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = float(np.float64(x) / np.float64(y))
+    assert repr(_ieee_div(x, y)) == repr(want)

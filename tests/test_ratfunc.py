@@ -73,6 +73,20 @@ def fraction_scan_reference(q):
     return roots, current
 
 
+def deep_numerator_case():
+    """(P, Q) with deg P >= deg Q + 7 and a pole of multiplicity 7, so
+    that P is not P mod Q and its Taylor head at every pole comes from
+    more coefficients than the remainder has."""
+    rng = random.Random(90)
+    den = FactoredDenominator(
+        Fraction(5, 4), ((Fraction(2, 3), 7), (Fraction(-1, 2), 2), (Fraction(3), 1))
+    )
+    num = Polynomial([rng.randint(-20, 20) for _ in range(den.degree + 9)] + [7])
+    assert num.degree >= den.degree + 7
+    assert divmod(num, den.expand())[1] != num
+    return num, den
+
+
 class TestRationalRoots:
     def test_constructed_factorization(self):
         q = Polynomial((1, 1)) * Polynomial((2, 1)) ** 2  # (x+1)(x+2)^2
@@ -358,6 +372,7 @@ class TestPartialFractions:
             degree = den.degree + rng.randint(0, 3) if i % 4 == 0 else rng.randint(0, den.degree - 1)
             num = Polynomial([rng.randint(-20, 20) for _ in range(degree)] + [rng.randint(1, 20)])
             self._check_recomposition(num, den)
+        self._check_recomposition(*deep_numerator_case())
         assert time.perf_counter() - start < 60.0
 
     @staticmethod
@@ -411,6 +426,7 @@ class TestPartialFractions:
             )
             degree = rng.randint(0, den.degree + 3)
             cases.append((Polynomial([rng.randint(-20, 20) for _ in range(degree + 1)]), den))
+        cases.append(deep_numerator_case())
         start = time.perf_counter()
         for i, (num, den) in enumerate(cases):
             q = rat(den.constant) * sympy.Mul(*[(x + rat(s)) ** m for s, m in den.factors])
@@ -446,6 +462,36 @@ class TestPartialFractions:
         assert len(divisions) == 1 and divisions[0].degree == den.degree
         assert frf.quotient.degree == num.degree - den.degree
         assert [len(pole.residues) for pole in frf.poles] == [10, 4, 2]
+
+    def test_numerator_below_the_denominator_is_neither_divided_nor_shifted(self, monkeypatch):
+        # With deg P < deg Q the quotient is zero, so P is not divided by
+        # Q; its Taylor head at each pole comes from synthetic division,
+        # so P is not shifted either.  The one shift per pole is the
+        # cofactor's.
+        shifted, divided = [], []
+        shift, divide = Polynomial.shift, Polynomial.__divmod__
+
+        def counted_shift(self, c):
+            shifted.append((self, c))
+            return shift(self, c)
+
+        def counted_divmod(self, other):
+            divided.append(self)
+            return divide(self, other)
+
+        monkeypatch.setattr(Polynomial, "shift", counted_shift)
+        monkeypatch.setattr(Polynomial, "__divmod__", counted_divmod)
+        den = FactoredDenominator(Fraction(-2, 3), ((Fraction(1, 3), 10), (Fraction(5, 2), 4),
+                                                    (Fraction(0), 2)))
+        num = Polynomial([1, -2, 3] * 5)
+        frf = partial_fractions(num, den)
+        assert divided == []
+        assert frf.quotient.is_zero
+        assert [(p.degree, c) for p, c in shifted] == [
+            (den.degree - mult, -s) for s, mult in den.factors
+        ]
+        assert num not in [p for p, _ in shifted]
+        self._check_recomposition(num, den)
 
     def test_deflate_divides_out_a_root_and_refuses_a_non_root(self):
         # (x + 1)(x + 2) / (x + 1) = x + 2; x = 1 leaves the remainder 6.
