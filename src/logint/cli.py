@@ -131,11 +131,12 @@ def _run_integrate_job(
         lower=lower, upper=upper, log_power=power,
     ))
     value = form.evalf()
-    result = {
-        "closed_form": str(form),
-        "terms": form.to_json_dict()["terms"],
-        "value": value,
-    }
+    with _int_digits_unlimited():
+        result = {
+            "closed_form": str(form),
+            "terms": form.to_json_dict()["terms"],
+            "value": value,
+        }
     if verify:
         try:
             oracle = quad_log(

@@ -1,25 +1,28 @@
 """Rational functions with exact partial-fraction decompositions.
 
 A denominator is kept as a product of linear factors (x + shift)^mult
-with distinct rational shifts, times a nonzero rational constant.  It
-is multiplied out in integer arithmetic (`FactoredDenominator.expand`),
-because every decomposition pays for that expansion.  The decomposition
-of P/Q is
+with distinct rational shifts, times a nonzero rational constant.  With
+each shift p/s in lowest terms it is c F, where F = prod (s x + p)^m
+has integer coefficients and c = constant / prod s^m
+(`FactoredDenominator.integer_form`).  The decomposition of P/Q is
 
     P/Q = quotient(x) + sum over poles i, powers j of
           residues[i][j-1] / (x + shift_i)^j
 
-computed entirely over the rationals: the polynomial part by exact long
-division, needed only when deg P >= deg Q, and the residues at a pole of
-multiplicity m by a truncated power-series division of the numerator's
-Taylor head there (P's first m Taylor coefficients) by the cofactor's
-series.  The residues need no remainder P mod Q: P and the remainder
-differ by quotient * Q, which adds to P over the cofactor only terms of
-order m and above.  The head is m synthetic divisions of P by
-(x - root), keeping each remainder; the cofactor (Q without the pole's
-factor) is Q's coefficients divided by (x - root) m times by the same
-step (`_synthetic_division`), which must leave no remainder there
-(`_deflate`).  Neither needs a power of (x + shift) or a long division.
+computed exactly: the polynomial part by long division, needed only
+when deg P >= deg Q (the one use of Q's rational coefficients,
+`expand`), and the residues at a pole of multiplicity m by a truncated
+power-series division of the numerator's Taylor head there (P's first
+m Taylor coefficients) by the cofactor's series.  The residues need no
+remainder P mod Q: P and the remainder differ by quotient * Q, which
+adds to P over the cofactor only terms of order m and above.  The
+cofactor (Q without the pole's factor) is c s^m times F divided m times
+by (s x + p), in integers, by the root search's own step
+(`_divide_out`), which must divide exactly there; its coefficients are
+made rational once, for its Taylor shift to the pole.  The head is the
+remainders of m synthetic divisions of P by (x - root)
+(`_taylor_head`).  Neither needs a power of (x + shift) or a long
+division.
 
 An expanded denominator is split into its rational linear factors first
 (`rational_roots_factorize`), in integer arithmetic on the primitive
@@ -68,18 +71,19 @@ class FactoredDenominator:
         object.__setattr__(self, "factors", tuple(norm))
         at_most(self.degree, MAX_DEGREE, "denominator degree")
 
-    def expand(self) -> Polynomial:
-        """The product multiplied out, in integers.
+    def integer_form(self) -> tuple[list[int], Fraction]:
+        """(f, c) with self == c * f(x), f the ascending integer
+        coefficients of prod (s x + p)^m.
 
         With each shift p/s in lowest terms,
 
-            c * prod (x + p/s)^m  =  (c / prod s^m) * prod (s x + p)^m ,
+            constant * prod (x + p/s)^m
+                =  (constant / prod s^m) * prod (s x + p)^m ,
 
-        so the coefficients of prod (s x + p)^m are integers.  They are
-        built one linear factor at a time, a step that costs two integer
-        products per coefficient, and each is made a Fraction once, when
-        the scale c / prod s^m is applied.  A product of Fraction
-        polynomials would take a gcd per coefficient at every step.
+        so c = constant / prod s^m.  f is built one linear factor at a
+        time, a step that costs two integer products per coefficient; a
+        product of Fraction polynomials would take a gcd per coefficient
+        at every step.  f is primitive by Gauss's lemma.
         """
         f = [1]
         scale = 1
@@ -92,7 +96,12 @@ class FactoredDenominator:
                 for k in range(len(f) - 2, 0, -1):
                     f[k] = p * f[k] + s * f[k - 1]
                 f[0] *= p
-        c = self.constant / scale
+        return f, self.constant / scale
+
+    def expand(self) -> Polynomial:
+        """The product multiplied out: `integer_form`, with each
+        coefficient made a Fraction once, when its scale is applied."""
+        f, c = self.integer_form()
         return Polynomial([Fraction(c.numerator * a, c.denominator) for a in f])
 
     @property
@@ -142,42 +151,17 @@ def _divide_out(f: list[int], p: int, s: int) -> Optional[list[int]]:
     return g if acc == 0 else None
 
 
-def _synthetic_division(
-    f: Sequence[Fraction], root: Fraction
-) -> tuple[list[Fraction], Fraction]:
-    """(g, r) with f = (x - root) g + r, for ascending rational
-    coefficients f, by synthetic division: g_(k-1) = f_k + root g_k from
-    the top, and r = f(root).  The zero polynomial gives ([], 0)."""
-    if not f:
-        return [], Fraction(0)
-    g = [Fraction(0)] * (len(f) - 1)
-    acc = f[-1]
-    for k in range(len(g), 0, -1):
-        g[k - 1] = acc
-        acc = f[k - 1] + root * acc
-    return g, acc
-
-
-def _deflate(f: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """f / (x - root) for ascending rational coefficients f of which root
-    is a root.  The division must be exact; a remainder raises
-    ArithmeticError.
-    """
-    g, r = _synthetic_division(f, root)
-    if r:
-        raise ArithmeticError(f"x = {root} is not a root of the denominator")
-    return g
-
-
 def _taylor_head(f: Sequence[Fraction], root: Fraction, n: int) -> list[Fraction]:
-    """The first n Taylor coefficients of f at root, f(root) first: the
-    remainders of n synthetic divisions by (x - root), each dividing the
-    quotient of the one before."""
-    head = []
-    for _ in range(n):
-        f, r = _synthetic_division(f, root)
-        head.append(r)
-    return head
+    """The first n Taylor coefficients of f at root, f(root) first, for
+    ascending rational coefficients f: the remainders of n synthetic
+    divisions by (x - root), each dividing the quotient of the one
+    before, and 0 once f is used up.  Division j leaves its quotient in
+    f[j + 1:] and its remainder in f[j]."""
+    f = list(f)
+    for j in range(min(n, len(f))):
+        for k in range(len(f) - 2, j - 1, -1):
+            f[k] += root * f[k + 1]
+    return f[:n] + [Fraction(0)] * (n - len(f))
 
 
 def rational_roots_factorize(
@@ -311,21 +295,30 @@ def partial_fractions(
     At a pole of multiplicity m the residues are the first m Taylor
     coefficients of P over the cofactor, the series of P's Taylor head
     divided by the cofactor's.  They are those of (P mod Q) over the
-    cofactor too, so P is divided by Q only for a nonzero quotient.
+    cofactor too, so P is divided by Q, and Q expanded to rationals, only
+    for a nonzero quotient.
+
+    The cofactor comes from integers: with Q = c F and the pole -p/s, it
+    is c s^m G, where G is F divided m times by (s x + p).
     """
     denominator = factored(denominator)
-    q_expanded = denominator.expand()
     quotient = Polynomial()
-    if numerator.degree >= q_expanded.degree:
-        quotient = divmod(numerator, q_expanded)[0]
+    if numerator.degree >= denominator.degree:
+        quotient = divmod(numerator, denominator.expand())[0]
+    f, c = denominator.integer_form()
 
     poles: list[PoleTerm] = []
     for shift, mult in denominator.factors:
         root = -shift
-        # q with this factor removed, Taylor-expanded about the pole.
-        other = q_expanded.coeffs
+        p, s = shift.numerator, shift.denominator
+        # Q with this factor removed, Taylor-expanded about the pole.
+        g = f
         for _ in range(mult):
-            other = _deflate(other, root)
+            g = _divide_out(g, -p, s)
+            if g is None:
+                raise ArithmeticError(f"x = {root} is not a root of the denominator")
+        k = c * s**mult
+        other = [Fraction(k.numerator * a, k.denominator) for a in g]
         d = Polynomial(other).shift(root).coeffs  # d[0] = other(root) != 0
         r = _taylor_head(numerator.coeffs, root, mult)
         series: list[Fraction] = []

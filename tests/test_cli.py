@@ -42,10 +42,16 @@ def strict_json(text):
 
 
 def double_the_expansion(monkeypatch):
-    """Make FactoredDenominator.expand, which the closed form's route uses,
-    return 2 Q: a route fault that halves every closed form."""
-    expand = FactoredDenominator.expand
-    monkeypatch.setattr(FactoredDenominator, "expand", lambda self: 2 * expand(self))
+    """Make FactoredDenominator.integer_form, the product of Q's factors
+    that the closed form's route uses (and `expand` too), stand for 2 Q:
+    a route fault that halves every closed form."""
+    integer_form = FactoredDenominator.integer_form
+
+    def doubled(self):
+        f, c = integer_form(self)
+        return f, 2 * c
+
+    monkeypatch.setattr(FactoredDenominator, "integer_form", doubled)
 
 
 class TestIntegrate:
@@ -199,6 +205,47 @@ class TestIntegrate:
         )
         assert proc.returncode == 2
         assert "has no rational root" in proc.stderr
+
+    def test_polynomial_integrand_at_both_size_limits_exits_2_in_time(self, tmp_path):
+        # A dense numerator of degree 300 against (ln x)^300: each size is
+        # within its own limit, but together they are 90,601 terms.
+        num = " + ".join(f"x^{k}" for k in range(301))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "logint", "integrate", "--num", num,
+                "--den", "1", "--lower", "1/2", "--upper", "1", "--power", "300",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: numerator terms times (log power + 1) must be at most 2002\n"
+        )
+
+    def test_closed_form_past_the_interpreters_digit_limit_prints(self, capsys):
+        # x^1000 + x^999 against (ln x)^1000 is within every size limit; its
+        # coefficients have denominators of about 6,000 digits, past the
+        # 4,300 that str(int) allows by default.
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--num", "x^1000 + x^999", "--den", "1",
+            "--lower", "1/2", "--upper", "1", "--power", "1000", "--json",
+        )
+        assert (code, err) == (0, "")
+        spec = IntegralSpec(
+            Polynomial([0] * 999 + [1, 1]), Polynomial((1,)), Fraction(1, 2), Fraction(1),
+            log_power=1000,
+        )
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert ClosedForm.from_json_dict(json.loads(out)) == integrate_rational_log(spec)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     # Exact results whose float value is out of range: a domain error,
     # not an OverflowError traceback.

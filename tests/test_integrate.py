@@ -42,7 +42,7 @@ from logint import (
     unit_pole_log_integral,
     unit_pole_log_parts,
 )
-from logint.integrate import MAX_LOG_POWER, _multiple_pole_terms
+from logint.integrate import MAX_LOG_POWER, MAX_POLY_LOG_TERMS, _multiple_pole_terms
 from logint.poly import MAX_DEGREE
 from specgen import (
     BOUND_GRID,
@@ -131,6 +131,27 @@ class TestPolyLog:
         monkeypatch.setattr("logint.integrate._poly_log_terms", _no_decomposition)
         with pytest.raises(LimitExceeded, match=f"log power must be at most {MAX_LOG_POWER}$"):
             integrate_poly_log(Polynomial((1, 1)), 2, m)
+
+    def test_numerator_terms_times_log_power_above_the_limit_is_refused_before_any_step(
+        self, monkeypatch
+    ):
+        # Two monomials at m = 1,000 are 2,002 terms; three are 3,003.
+        monkeypatch.setattr("logint.integrate._poly_log_terms", _no_decomposition)
+        with pytest.raises(
+            LimitExceeded,
+            match=rf"numerator terms times \(log power \+ 1\) must be at most {MAX_POLY_LOG_TERMS}$",
+        ):
+            integrate_poly_log(Polynomial([1] * 3), F(1, 2), MAX_LOG_POWER)
+        # A dense numerator of degree 300 at m = 300 is 90,601.
+        with pytest.raises(LimitExceeded):
+            integrate_poly_log(Polynomial([1] * 301), F(1, 2), 300)
+
+    def test_numerator_terms_times_log_power_at_the_limit(self):
+        # A dense numerator of degree MAX_DEGREE at m = 1: int_0^1 x^j ln x
+        # dx = -1/(j+1)^2.
+        assert MAX_POLY_LOG_TERMS == 2 * (MAX_DEGREE + 1)
+        got = integrate_poly_log(Polynomial([1] * (MAX_DEGREE + 1)), 1, 1)
+        assert got == ClosedForm.of(UNIT, -sum(F(1, (j + 1) ** 2) for j in range(MAX_DEGREE + 1)))
 
     def test_linearity_random(self):
         rng = random.Random(12)
@@ -671,6 +692,28 @@ class TestDriver:
     def test_spec_refuses_a_log_power_above_the_limit(self, power):
         with pytest.raises(LimitExceeded, match=f"log_power must be at most {MAX_LOG_POWER}$"):
             IntegralSpec(Polynomial((1,)), Polynomial((1,)), F(1), F(2), log_power=power)
+
+    def test_spec_refuses_numerator_terms_times_log_power_above_the_limit(self):
+        # Checked when the spec is built, before Q is factored: x^2 - 2 has
+        # no rational root, and m >= 2 with a pole is refused too, later.
+        dense = Polynomial([1] * 301)
+        for den in (Polynomial((1,)), Polynomial((-2, 0, 1))):
+            with pytest.raises(
+                LimitExceeded,
+                match=rf"numerator terms times \(log power \+ 1\) must be at most {MAX_POLY_LOG_TERMS}$",
+            ):
+                IntegralSpec(dense, den, F(1, 2), F(1), log_power=300)
+        # Sparse numerators count only their nonzero coefficients: x^1000
+        # and x^1000 + x^999 at MAX_LOG_POWER, and every numerator of degree
+        # up to MAX_DEGREE at m = 1, are accepted.
+        for num, m in [
+            (Polynomial([0] * MAX_DEGREE + [1]), MAX_LOG_POWER),
+            (Polynomial([0] * (MAX_DEGREE - 1) + [1, 1]), MAX_LOG_POWER),
+            (Polynomial([1] * (MAX_DEGREE + 1)), 1),
+        ]:
+            IntegralSpec(num, Polynomial((1,)), F(1, 2), F(1), log_power=m)
+        with pytest.raises(LimitExceeded):
+            IntegralSpec(Polynomial([1] * (MAX_DEGREE + 1)), Polynomial((1,)), F(1, 2), F(1), log_power=2)
 
     @pytest.mark.parametrize("num, den, field", [
         ([1], Polynomial((1, 1)), "numerator must be a Polynomial"),

@@ -447,7 +447,8 @@ def test_source_imports_only_the_standard_library():
 def test_source_has_one_owner_per_denominator_form():
     # ratfunc.factored is the one place that factors an expanded Q, and
     # the oracle multiplies out a factored Q itself: neither quadrature
-    # nor the CLI, which hands Q to the oracle as parsed, uses `expand`.
+    # nor the CLI, which hands Q to the oracle as parsed, uses `expand`
+    # or the integer product under it, `integer_form`.
     src = Path(__file__).resolve().parent.parent / "src" / "logint"
     factoring, expanding = set(), set()
     for path in sorted(src.glob("*.py")):
@@ -456,7 +457,7 @@ def test_source_has_one_owner_per_denominator_form():
                 f = node.func
                 if getattr(f, "id", getattr(f, "attr", None)) == "factor_denominator":
                     factoring.add(path.name)
-            if isinstance(node, ast.Attribute) and node.attr == "expand":
+            if isinstance(node, ast.Attribute) and node.attr in ("expand", "integer_form"):
                 expanding.add(path.name)
     assert factoring == {"ratfunc.py"}
     assert expanding.isdisjoint({"quadrature.py", "cli.py"}), sorted(expanding)
@@ -564,9 +565,10 @@ def test_oracle_multiplies_out_a_factored_denominator(monkeypatch):
         cases.append((num, den, a, a + F(rng.randint(1, 12), rng.randint(1, 4)), rng.randint(0, 2)))
 
     def refused(self):
-        raise AssertionError("the oracle used FactoredDenominator.expand")
+        raise AssertionError("the oracle used the route's product of Q's factors")
 
     monkeypatch.setattr(FactoredDenominator, "expand", refused)
+    monkeypatch.setattr(FactoredDenominator, "integer_form", refused)
 
     def outcome(integrand, a, b, m):
         try:

@@ -24,7 +24,7 @@ from logint import (
     rational_roots_factorize,
 )
 from logint.poly import MAX_DEGREE
-from logint.ratfunc import _deflate, _divisors
+from logint.ratfunc import _divide_out, _divisors
 from specgen import random_spec
 
 
@@ -84,6 +84,29 @@ def deep_numerator_case():
     num = Polynomial([rng.randint(-20, 20) for _ in range(den.degree + 9)] + [7])
     assert num.degree >= den.degree + 7
     assert divmod(num, den.expand())[1] != num
+    return num, den
+
+
+# Shifts p/s with s up to 7, on both sides of 0 and at 0.
+SEVENTHS = sorted({Fraction(p, s) for p in range(-12, 13) for s in range(1, 8)})
+
+
+def scaled_case(rng, i):
+    """(P, Q) whose integer forms partial_fractions must scale: P with
+    coefficients over 3, 7 and 12, Q with shifts p/s, s up to 7, and a
+    pole at 0 in every third case."""
+    shifts = rng.sample(SEVENTHS, rng.randint(1, 3))
+    if i % 3 == 0 and Fraction(0) not in shifts:
+        shifts[0] = Fraction(0)
+    den = FactoredDenominator(
+        constant=rng.choice([Fraction(1), Fraction(-2, 3), Fraction(5, 4)]),
+        factors=tuple((s, rng.randint(1, 7)) for s in shifts),
+    )
+    degree = rng.randint(0, den.degree + 3)
+    num = Polynomial(
+        [Fraction(rng.randint(-20, 20), rng.choice([1, 3, 7, 12])) for _ in range(degree)]
+        + [Fraction(rng.randint(1, 20), rng.choice([3, 7, 12]))]
+    )
     return num, den
 
 
@@ -373,6 +396,10 @@ class TestPartialFractions:
             num = Polynomial([rng.randint(-20, 20) for _ in range(degree)] + [rng.randint(1, 20)])
             self._check_recomposition(num, den)
         self._check_recomposition(*deep_numerator_case())
+        # Numerators with rational coefficients, and shifts over up to 7.
+        rng = random.Random(35)
+        for i in range(30):
+            self._check_recomposition(*scaled_case(rng, i))
         assert time.perf_counter() - start < 60.0
 
     @staticmethod
@@ -427,6 +454,8 @@ class TestPartialFractions:
             degree = rng.randint(0, den.degree + 3)
             cases.append((Polynomial([rng.randint(-20, 20) for _ in range(degree + 1)]), den))
         cases.append(deep_numerator_case())
+        rng = random.Random(36)
+        cases += [scaled_case(rng, i) for i in range(12)]
         start = time.perf_counter()
         for i, (num, den) in enumerate(cases):
             q = rat(den.constant) * sympy.Mul(*[(x + rat(s)) ** m for s, m in den.factors])
@@ -465,11 +494,12 @@ class TestPartialFractions:
 
     def test_numerator_below_the_denominator_is_neither_divided_nor_shifted(self, monkeypatch):
         # With deg P < deg Q the quotient is zero, so P is not divided by
-        # Q; its Taylor head at each pole comes from synthetic division,
-        # so P is not shifted either.  The one shift per pole is the
-        # cofactor's.
-        shifted, divided = [], []
+        # Q, and Q is not expanded to rationals; its Taylor head at each
+        # pole comes from synthetic division, so P is not shifted either.
+        # The one shift per pole is the cofactor's.
+        shifted, divided, expanded = [], [], []
         shift, divide = Polynomial.shift, Polynomial.__divmod__
+        expand = FactoredDenominator.expand
 
         def counted_shift(self, c):
             shifted.append((self, c))
@@ -479,26 +509,38 @@ class TestPartialFractions:
             divided.append(self)
             return divide(self, other)
 
+        def counted_expand(self):
+            expanded.append(self)
+            return expand(self)
+
         monkeypatch.setattr(Polynomial, "shift", counted_shift)
         monkeypatch.setattr(Polynomial, "__divmod__", counted_divmod)
+        monkeypatch.setattr(FactoredDenominator, "expand", counted_expand)
         den = FactoredDenominator(Fraction(-2, 3), ((Fraction(1, 3), 10), (Fraction(5, 2), 4),
                                                     (Fraction(0), 2)))
         num = Polynomial([1, -2, 3] * 5)
         frf = partial_fractions(num, den)
-        assert divided == []
+        assert divided == [] and expanded == []
         assert frf.quotient.is_zero
         assert [(p.degree, c) for p, c in shifted] == [
             (den.degree - mult, -s) for s, mult in den.factors
         ]
         assert num not in [p for p, _ in shifted]
+        # With deg P >= deg Q, Q is expanded once, for the quotient.
+        partial_fractions(num * Polynomial((0, 1)) ** 4, den)
+        assert expanded == [den]
         self._check_recomposition(num, den)
 
     def test_deflate_divides_out_a_root_and_refuses_a_non_root(self):
-        # (x + 1)(x + 2) / (x + 1) = x + 2; x = 1 leaves the remainder 6.
-        q = [Fraction(2), Fraction(3), Fraction(1)]
-        assert _deflate(q, Fraction(-1)) == [Fraction(2), Fraction(1)]
-        with pytest.raises(ArithmeticError, match="x = 1 is not a root"):
-            _deflate(q, Fraction(1))
+        # Each pole's cofactor is Q's integer form divided by (s x + p) with
+        # the root search's own step.  (x + 1)(x + 2) / (x + 1) = x + 2, and
+        # (3x + 1)(x + 2) / (3x + 1) = x + 2; x = 1 and x = 1/3 leave a
+        # remainder, and x = 2/3 fails at an inexact step.
+        assert _divide_out([2, 3, 1], -1, 1) == [2, 1]
+        assert _divide_out([2, 7, 3], -1, 3) == [2, 1]
+        assert _divide_out([2, 3, 1], 1, 1) is None
+        assert _divide_out([2, 7, 3], 1, 3) is None
+        assert _divide_out([2, 7, 3], 2, 3) is None
 
     def test_recompose_rejects_a_repeated_pole(self):
         pole = PoleTerm(shift=Fraction(1), residues=(Fraction(1),))
