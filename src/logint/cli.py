@@ -72,7 +72,7 @@ def _resolve_tol(flag: Optional[float]) -> Optional[float]:
 
 # The errors main reports through _classify.  A verify-batch line also
 # turns a malformed job (KeyError, TypeError, or the ValueError of
-# json.loads or int) into a record.
+# json.loads, of a line nested too deep for it, or of int) into a record.
 _REPORTED = (ParseError, DomainError, NoConvergence)
 _BATCH_REPORTED = (*_REPORTED, KeyError, TypeError, ValueError)
 
@@ -274,6 +274,16 @@ def _cmd_unimodal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_job(line: str):
+    """One batch line decoded.  The decoder recurses once per nesting
+    level, so a line nested too deep raises RecursionError: that line is
+    malformed, a ValueError like any other."""
+    try:
+        return json.loads(line)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _cmd_verify_batch(args: argparse.Namespace) -> int:
     try:
         if args.input == "-":
@@ -292,7 +302,7 @@ def _cmd_verify_batch(args: argparse.Namespace) -> int:
             continue
         record: dict = {"index": index}
         try:
-            job = json.loads(line)
+            job = _load_job(line)
             result = _run_integrate_job(
                 str(job["num"]),
                 str(job["den"]),

@@ -18,11 +18,15 @@ in six kinds, and an atom of any other shape is refused:
     logprod   ln q1 * ln q2, q1 <= q2 LogProd(q1, q2)    ln(q1)*ln(q2)
     dilog     Li2(d)                  Dilog(d)           Li2(d)
 
+Each object has one constructor, and nothing bypasses it: an Atom is
+built by ``Atom(...)``, which checks every factor and the kind, and a
+ClosedForm by ``ClosedForm(...)``, the only code that stores its terms.
 An atom may hold factors that reduce (ln 1, ln q with q < 1, ln q ln q,
 Li2(0), Li2(-1)), but a ClosedForm is canonical by construction: it
-applies one rule per factor when it is built and merges duplicates, so
-two forms are equal exactly when their term tuples are.  All arithmetic
-goes through ``combine``, which sums scalar multiples of forms.
+applies one rule per factor when it is built, making each reduced atom
+through ``Atom(...)`` again, and merges duplicates, so two forms are
+equal exactly when their term tuples are.  All arithmetic goes through
+``combine``, which builds one form from scalar multiples of forms.
 Numeric evaluation goes through ``evalf``.  Serialization to/from JSON
 is exact: coefficients and atom arguments travel as fraction strings.
 """
@@ -88,7 +92,13 @@ class Atom:
         kind = _KIND_OF_SHAPE.get(_shape(pi2, logs, d))
         if kind is None:
             raise DomainError(f"no atom kind is the product {self!r}")
-        _init(self, pi2, tuple(sorted(logs)), d, kind)
+        logs = tuple(sorted(logs))
+        set_field = object.__setattr__
+        set_field(self, "pi2", pi2)
+        set_field(self, "logs", logs)
+        set_field(self, "dilog", d)
+        set_field(self, "_kind", kind)
+        set_field(self, "_hash", hash((pi2, logs, d)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -121,21 +131,6 @@ class Atom:
         if self.dilog is not None:
             factors.append(f"Li2({self.dilog})")
         return "*".join(factors) or "1"
-
-
-def _init(atom: Atom, pi2: int, logs: tuple, d: Optional[Fraction], kind: int) -> Atom:
-    set_field = object.__setattr__
-    set_field(atom, "pi2", pi2)
-    set_field(atom, "logs", logs)
-    set_field(atom, "dilog", d)
-    set_field(atom, "_kind", kind)
-    set_field(atom, "_hash", hash((pi2, logs, d)))
-    return atom
-
-
-def _make(pi2: int, logs: tuple, d: Optional[Fraction]) -> Atom:
-    # An atom from factors that are already valid and sorted: no checks.
-    return _init(object.__new__(Atom), pi2, logs, d, _KIND_OF_SHAPE[_shape(pi2, logs, d)])
 
 
 UNIT = Atom()
@@ -202,7 +197,7 @@ def _reduce(atom: Atom, c: Fraction) -> Optional[tuple[Atom, Fraction]]:
     logs = tuple(merged)
     if pi2 == atom.pi2 and logs == atom.logs:
         return atom, c
-    return _make(pi2, logs, d), c
+    return Atom(pi2, logs, d), c
 
 
 def _read_object(value, what: str) -> Mapping:
@@ -250,13 +245,6 @@ def atom_from_json_dict(d: Mapping) -> Atom:
     return atom
 
 
-def _canonical_terms(acc: Mapping[Atom, Fraction]) -> tuple[tuple[Atom, Fraction], ...]:
-    # The stored form of a sum of reduced atoms: its nonzero terms, sorted
-    # once here by atom kind, then logs, then dilog.
-    nonzero = [(a, c) for a, c in acc.items() if c]
-    return tuple(sorted(nonzero, key=lambda t: (t[0]._kind, t[0].logs, t[0].dilog)))
-
-
 class ClosedForm:
     """Finite rational combination of atoms, canonical by construction."""
 
@@ -275,7 +263,10 @@ class ClosedForm:
             if c and (term := _reduce(atom, c)):
                 atom, c = term
                 acc[atom] = acc.get(atom, 0) + c
-        self._terms = _canonical_terms(acc)
+        # The stored form: the nonzero terms, sorted once here by atom
+        # kind, then logs, then dilog.
+        nonzero = [(a, c) for a, c in acc.items() if c]
+        self._terms = tuple(sorted(nonzero, key=lambda t: (t[0]._kind, t[0].logs, t[0].dilog)))
 
     # -- constructors ---------------------------------------------------
 
@@ -285,15 +276,8 @@ class ClosedForm:
 
     @classmethod
     def combine(cls, parts: Iterable[tuple[Scalar, "ClosedForm"]]) -> "ClosedForm":
-        """sum_i c_i * form_i, accumulated in one dict and built once; the
-        atoms are already reduced, so only zero coefficients have to go."""
-        acc: dict[Atom, Fraction] = {}
-        for scalar, form in parts:
-            for atom, c in form._terms:
-                acc[atom] = acc.get(atom, 0) + scalar * c
-        out = object.__new__(cls)
-        out._terms = _canonical_terms(acc)
-        return out
+        """sum_i c_i * form_i, built once from the scaled terms."""
+        return cls((atom, scalar * c) for scalar, form in parts for atom, c in form._terms)
 
     # -- inspection -----------------------------------------------------
 
@@ -404,7 +388,7 @@ class ClosedForm:
 def _render_term(atom: Atom, c: Fraction) -> str:
     cs = str(c) if c.denominator == 1 else f"({c})"
     if atom == UNIT:
-        return cs if c.denominator == 1 else str(c)
+        return str(c)
     if c == 1:
         return str(atom)
     return f"{cs}*{atom}"

@@ -48,7 +48,7 @@ from .poly import (
     Scalar,
     at_most,
     exact,
-    integer_at_least,
+    integer_in,
     positive,
 )
 from .ratfunc import (
@@ -61,7 +61,8 @@ from .ratfunc import (
 # The largest power m of ln x.  The closed form of x^j (ln x)^m has
 # m + 1 terms with coefficients near m!, so the work grows faster than
 # m^2: m = 1,000 takes well under a second for one monomial, and an
-# unbounded m would never return.  The largest pole order is MAX_DEGREE.
+# unbounded m would never return.  The largest pole order, monomial
+# degree and degree of P or of an expanded Q is MAX_DEGREE.
 MAX_LOG_POWER = 1000
 
 # The most terms the closed form of P(x) (ln x)^m is built from: each
@@ -75,34 +76,29 @@ MAX_LOG_POWER = 1000
 MAX_POLY_LOG_TERMS = 2 * (MAX_DEGREE + 1)
 
 
-def _log_power(m: int, least: int, what: str) -> int:
-    return at_most(integer_at_least(m, least, what), MAX_LOG_POWER, what)
-
-
 def _poly_log_size(p: Polynomial, m: int) -> None:
     terms = sum(1 for a in p.coeffs if a) * (m + 1)
     at_most(terms, MAX_POLY_LOG_TERMS, "numerator terms times (log power + 1)")
 
 
-def _pole_order(n: int) -> int:
-    return at_most(integer_at_least(n, 2, "pole order"), MAX_DEGREE, "pole order")
-
-
 def integrate_monomial_log(j: int, k: int, b: Scalar) -> ClosedForm:
-    """int_0^b x^j (ln x)^k dx, exactly.
+    """int_0^b x^j (ln x)^k dx, exactly, for 0 <= j <= MAX_DEGREE and
+    0 <= k <= MAX_LOG_POWER.
 
     Scaling x = b t reduces to the unit interval, where
     int_0^1 t^j (ln t)^k dt = (-1)^k k! / (j+1)^(k+1).
     """
-    integer_at_least(j, 0, "monomial degree")
-    _log_power(k, 0, "log power")
+    integer_in(j, 0, MAX_DEGREE, "monomial degree")
+    integer_in(k, 0, MAX_LOG_POWER, "log power")
     return ClosedForm(_monomial_log_terms(j, k, positive(b, "upper limit")))
 
 
 def integrate_poly_log(p: Polynomial, b: Scalar, m: int) -> ClosedForm:
-    """int_0^b P(x) (ln x)^m dx by linearity over the monomials."""
+    """int_0^b P(x) (ln x)^m dx by linearity over the monomials, for P of
+    degree at most MAX_DEGREE and 0 <= m <= MAX_LOG_POWER."""
+    at_most(p.degree, MAX_DEGREE, "numerator degree")
     b = positive(b, "upper limit")
-    _log_power(m, 0, "log power")
+    integer_in(m, 0, MAX_LOG_POWER, "log power")
     _poly_log_size(p, m)
     return ClosedForm(_poly_log_terms(p, b, m))
 
@@ -208,7 +204,7 @@ def integrate_multiple_pole(n: int, b: Scalar, r: Scalar) -> ClosedForm:
 
     At r = 1 this is h_n(b), which unit_pole_log_parts referees.
     """
-    _pole_order(n)
+    integer_in(n, 2, MAX_DEGREE, "pole order")
     b = positive(b, "upper limit")
     return ClosedForm(_multiple_pole_terms(n, b, positive(r, "pole parameter")))
 
@@ -290,7 +286,7 @@ def unit_pole_log_parts(n: int) -> LogIntegralParts:
     each, so the whole recurrence costs O(n^2) integer operations.  A_n
     is built without it, so a wrong power still fails the check.
     """
-    _pole_order(n)
+    integer_in(n, 2, MAX_DEGREE, "pole order")
     # Ascending integer coefficients of A_k, B_k, C_k and (1+b)^(k-1).
     x_part, y_part, z_part, power = [0, 1], [-1, -1], [0, 0], [1, 1]
     fact = 1  # (k-3)! at step k
@@ -344,6 +340,11 @@ class IntegralSpec:
                 "denominator must be a Polynomial or FactoredDenominator, "
                 f"got {type(self.denominator).__name__}"
             )
+        # Before any other step: an expanded Q of a large degree would
+        # otherwise be refused only after its root search.
+        at_most(self.numerator.degree, MAX_DEGREE, "numerator degree")
+        if isinstance(self.denominator, Polynomial):
+            at_most(self.denominator.degree, MAX_DEGREE, "denominator degree")
         lower = exact(self.lower, "lower limit")
         upper = exact(self.upper, "upper limit")
         if lower < 0:
@@ -352,7 +353,7 @@ class IntegralSpec:
             raise DegenerateInterval(f"empty interval [{lower}, {upper}]")
         if upper < lower:
             raise DomainError(f"limits out of order: [{lower}, {upper}]")
-        _log_power(self.log_power, 1, "log_power")
+        integer_in(self.log_power, 1, MAX_LOG_POWER, "log_power")
         _poly_log_size(self.numerator, self.log_power)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)

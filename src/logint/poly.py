@@ -1,12 +1,19 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction`, stored densely in ascending degree
-order with no trailing zeros; the zero polynomial is the empty tuple and
-reports degree -1.  All arithmetic is exact.  Floats are deliberately
+order with no trailing zeros; the zero polynomial is the empty tuple,
+reports degree -1 and is false.  Every polynomial is built by the one
+constructor: a constant c is ``Polynomial((c,))`` and x is
+``Polynomial((0, 1))``.  All arithmetic is exact.  Floats are deliberately
 rejected as coefficients (a float that "looks like" 0.1 is not 1/10);
 numeric evaluation is still available by calling the polynomial with a
 float argument.  ``join_signed`` prints a sum of signed terms as
 ``a - b + c``, for polynomials and closed forms alike.
+
+The argument checks shared by the package live here too, one helper per
+rule: ``exact``, ``positive``, ``integer_at_least``, ``at_most``, and
+``integer_in`` for an integer in [least, most], such as a log power, a
+pole order or a family index.
 """
 
 from __future__ import annotations
@@ -56,6 +63,13 @@ def at_most(value: int, most: int, what: str) -> int:
     return value
 
 
+def integer_in(value: int, least: int, most: int, what: str) -> int:
+    """``value``, which must be an int in [``least``, ``most``]: below
+    ``least`` or not an int it is a DomainError, as in
+    ``integer_at_least``, and above ``most`` a LimitExceeded."""
+    return at_most(integer_at_least(value, least, what), most, what)
+
+
 class Polynomial:
     """Immutable dense polynomial with exact rational coefficients."""
 
@@ -66,16 +80,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
 
     # -- inspection ----------------------------------------------------
 
@@ -93,10 +97,6 @@ class Polynomial:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
         return Fraction(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -146,7 +146,7 @@ class Polynomial:
             return Polynomial(tuple(c * other for c in self._coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self._coeffs or not other._coeffs:
             return Polynomial()
         out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
@@ -156,8 +156,7 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(out)
 
-    def __rmul__(self, other: Scalar) -> "Polynomial":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         n = integer_at_least(n, 0, "exponent")
@@ -174,7 +173,7 @@ class Polynomial:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         quotient = [Fraction(0)] * max(0, self.degree - other.degree + 1)
         rem = list(self._coeffs)

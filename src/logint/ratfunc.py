@@ -183,7 +183,7 @@ def rational_roots_factorize(
     The remainder is the exact rational multiple of the final integer
     cofactor whose leading coefficient is lead(q).
     """
-    if q.is_zero:
+    if not q:
         raise ZeroDenominator("cannot factor the zero polynomial")
 
     coeffs = q.coeffs
@@ -269,11 +269,11 @@ class FactoredRationalFunction:
         """
         factors = tuple((pole.shift, len(pole.residues)) for pole in self.poles)
         FactoredDenominator(1, factors)  # a repeated shift raises PoleCollision
-        p, q = Polynomial(), Polynomial.constant(1)
+        p, q = Polynomial(), Polynomial((1,))
         for pole in self.poles:
             # q runs through rest * (x + shift)^(mult - j), j = mult, ..., 1,
             # and ends as Q.
-            q = Polynomial.constant(1)
+            q = Polynomial((1,))
             for shift, mult in factors:
                 for _ in range(mult if shift != pole.shift else 0):
                     q = q * Polynomial((shift, 1))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError
-from .poly import Polynomial, at_most, integer_at_least
+from .poly import Polynomial, integer_in
 
 # The largest family index either recurrence accepts.  Each step
 # multiplies polynomials of ever larger integers, so the work grows
@@ -38,13 +38,9 @@ from .poly import Polynomial, at_most, integer_at_least
 MAX_FAMILY_INDEX = 1000
 
 
-def _check_family_index(n: int, least: int, what: str) -> None:
-    at_most(integer_at_least(n, least, what), MAX_FAMILY_INDEX, what)
-
-
 def family_poly(n: int) -> Polynomial:
     """t_n for 2 <= n <= MAX_FAMILY_INDEX (t_2 = 0, first nonzero at n = 3)."""
-    _check_family_index(n, 2, "family index")
+    integer_in(n, 2, MAX_FAMILY_INDEX, "family index")
     one_plus = Polynomial((1, 1))
     t = Polynomial()
     for k in range(3, n + 1):
@@ -57,8 +53,8 @@ def family_poly(n: int) -> Polynomial:
 def shifted_family_poly(n: int) -> Polynomial:
     """s_n = t_n composed with b -> b - 1, for 3 <= n <= MAX_FAMILY_INDEX,
     by its own recurrence (s_3 = 1)."""
-    _check_family_index(n, 3, "shifted family index")
-    b = Polynomial.x()
+    integer_in(n, 3, MAX_FAMILY_INDEX, "shifted family index")
+    b = Polynomial((0, 1))
     s = Polynomial((1,))
     for k in range(4, n + 1):
         geom = Polynomial((1,) * (k - 2))  # 1 + b + ... + b^(k-3)

@@ -26,7 +26,7 @@ def random_polynomial(rng: random.Random, max_degree: int = 4,
         degree = rng.randint(0, max_degree)
         coeffs = [rng.randint(lo, hi) for _ in range(degree + 1)]
         p = Polynomial(coeffs)
-        if not p.is_zero:
+        if p:
             return p
 
 
@@ -63,7 +63,7 @@ def linear_product(den: FactoredDenominator) -> Polynomial:
     """c * prod (x + s)^m multiplied out as a product of linear-factor
     Polynomials, not by `FactoredDenominator.expand`, so that a check
     built on it shares no algebra with the symbolic route it referees."""
-    q = Polynomial.constant(den.constant)
+    q = Polynomial((den.constant,))
     for shift, mult in den.factors:
         for _ in range(mult):
             q = q * Polynomial((shift, 1))

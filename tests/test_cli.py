@@ -609,6 +609,21 @@ class TestVerifyBatch:
         assert records[1]["ok"] is True
         assert code == 2
 
+    def test_a_deeply_nested_line_is_a_parse_record(self, capsys, monkeypatch):
+        # json.loads recurses once per nesting level, so this line raises
+        # RecursionError; the line after it must still run.
+        lines = ["[" * 100000 + "]" * 100000, json.dumps({"num": "1", "den": "(x+1)"})]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code = main(["verify-batch"])
+        captured = capsys.readouterr()
+        records = [json.loads(l) for l in captured.out.splitlines()]
+        assert [(r["index"], r["ok"], r.get("kind")) for r in records] == [
+            (0, False, "parse"), (1, True, None),
+        ]
+        assert "recursion" in records[0]["error"]
+        assert code == 1
+        assert "Traceback" not in captured.err
+
     def test_values_beyond_float_range_do_not_abort_the_batch(self, capsys, monkeypatch):
         jobs = [
             {"num": "1", "den": "x+1", "lower": "0", "upper": "1e400"},

@@ -80,7 +80,7 @@ class TestMonomialLog:
             j, k = rng.randint(0, 4), rng.randint(0, 3)
             b = F(rng.randint(1, 12), rng.randint(1, 3))
             got = integrate_monomial_log(j, k, b).evalf()
-            ref = quad_log((Polynomial.x() ** j, Polynomial.constant(1)), 0, b, m=k)
+            ref = quad_log((Polynomial((0, 1)) ** j, Polynomial((1,))), 0, b, m=k)
             assert ref.converged
             assert abs(got - ref.value) <= 1e-10 * (1 + abs(ref.value))
 
@@ -100,6 +100,18 @@ class TestMonomialLog:
         with pytest.raises(LimitExceeded, match=f"log power must be at most {MAX_LOG_POWER}$"):
             integrate_monomial_log(0, k, 2)
 
+    @pytest.mark.parametrize("j", [MAX_DEGREE + 1, 10**20])
+    def test_degree_above_the_limit_is_refused_before_any_step(self, monkeypatch, j):
+        # b^(j+1) alone would take memory linear in j.
+        monkeypatch.setattr("logint.integrate._monomial_log_terms", _no_decomposition)
+        with pytest.raises(LimitExceeded, match=f"^monomial degree must be at most {MAX_DEGREE}$"):
+            integrate_monomial_log(j, 1, F(1, 2))
+
+    def test_degree_at_the_limit(self):
+        # int_0^1 x^j ln x dx = -1/(j+1)^2
+        got = integrate_monomial_log(MAX_DEGREE, 1, 1)
+        assert got == ClosedForm.of(UNIT, F(-1, (MAX_DEGREE + 1) ** 2))
+
     def test_log_power_at_the_limit(self):
         # int_0^1 (ln x)^m dx = (-1)^m m!
         got = integrate_monomial_log(0, MAX_LOG_POWER, 1)
@@ -114,7 +126,7 @@ class TestPolyLog:
 
     def test_x_against_antiderivative(self):
         # int_0^2 x ln x dx = 2 ln 2 - 1  (x^2/2 ln x - x^2/4)
-        got = integrate_poly_log(Polynomial.x(), 2, 1)
+        got = integrate_poly_log(Polynomial((0, 1)), 2, 1)
         assert got == ClosedForm({Log(F(2)): F(2), UNIT: F(-1)})
         assert got.evalf() == pytest.approx(0.3862943611198906, abs=1e-14)
 
@@ -131,6 +143,12 @@ class TestPolyLog:
         monkeypatch.setattr("logint.integrate._poly_log_terms", _no_decomposition)
         with pytest.raises(LimitExceeded, match=f"log power must be at most {MAX_LOG_POWER}$"):
             integrate_poly_log(Polynomial((1, 1)), 2, m)
+
+    def test_degree_above_the_limit_is_refused_before_any_step(self, monkeypatch):
+        monkeypatch.setattr("logint.integrate._poly_log_terms", _no_decomposition)
+        sparse = Polynomial([0] * 2 * MAX_DEGREE + [1])
+        with pytest.raises(LimitExceeded, match=f"^numerator degree must be at most {MAX_DEGREE}$"):
+            integrate_poly_log(sparse, F(1, 2), 1)
 
     def test_numerator_terms_times_log_power_above_the_limit_is_refused_before_any_step(
         self, monkeypatch
@@ -195,7 +213,7 @@ class TestSimplePole:
             b = F(rng.randint(1, 10), rng.randint(1, 2))
             r = F(rng.randint(1, 10), rng.randint(1, 2))
             got = integrate_simple_pole(b, r).evalf()
-            ref = quad_log((Polynomial.constant(1), Polynomial((r, 1))), 0, b)
+            ref = quad_log((Polynomial((1,)), Polynomial((r, 1))), 0, b)
             assert ref.converged
             assert abs(got - ref.value) <= 1e-10 * (1 + abs(ref.value))
 
@@ -240,7 +258,7 @@ class TestTwoSimplePoles:
             b = a + F(rng.randint(1, 8), 2)
             got = integrate_two_simple_poles(a, b, r1, r2).evalf()
             den = Polynomial((r1, 1)) * Polynomial((r2, 1))
-            ref = quad_log((Polynomial.constant(1), den), a, b)
+            ref = quad_log((Polynomial((1,)), den), a, b)
             assert ref.converged
             assert abs(got - ref.value) <= 1e-10 * (1 + abs(ref.value))
 
@@ -277,7 +295,7 @@ class TestSymmetricTwoPole:
     def test_against_oracle(self):
         for a, b in [(F(1), F(2)), (F(1, 2), F(5)), (F(3), F(7, 2))]:
             den = Polynomial((a, 1)) * Polynomial((b, 1))
-            ref = quad_log((Polynomial.constant(1), den), a, b)
+            ref = quad_log((Polynomial((1,)), den), a, b)
             assert ref.converged
             got = symmetric_two_pole_elementary(a, b).evalf()
             assert abs(got - ref.value) <= 1e-11 * (1 + abs(ref.value))
@@ -311,7 +329,7 @@ class TestUnitPoleIntegral:
         for n, b in [(3, F(1)), (5, F(2)), (8, F(1, 2)), (12, F(7, 2))]:
             got = unit_pole_log_integral(n, b).evalf()
             ref = quad_log(
-                (Polynomial.constant(1), Polynomial((1, 1)) ** n), 0, b
+                (Polynomial((1,)), Polynomial((1, 1)) ** n), 0, b
             )
             assert ref.converged
             assert abs(got - ref.value) <= 1e-10 * (1 + abs(ref.value))
@@ -370,7 +388,7 @@ class TestMultiplePole:
             r = F(rng.randint(1, 8), rng.randint(1, 2))
             got = integrate_multiple_pole(n, b, r).evalf()
             ref = quad_log(
-                (Polynomial.constant(1), Polynomial((r, 1)) ** n), 0, b
+                (Polynomial((1,)), Polynomial((r, 1)) ** n), 0, b
             )
             assert ref.converged
             assert abs(got - ref.value) <= 1e-10 * (1 + abs(ref.value))
@@ -458,7 +476,7 @@ class TestLogIntegralParts:
         """The recurrence of unit_pole_log_parts in reduced Fractions, one
         step at a time: its referee, sharing none of the (k-1)!-scaled
         integer arithmetic it checks."""
-        bpoly = Polynomial.x()
+        bpoly = Polynomial((0, 1))
         one_plus = Polynomial((1, 1))
         x_part = bpoly
         y_part = -one_plus
@@ -488,7 +506,7 @@ class TestLogIntegralParts:
 
     def test_base_case(self):
         parts = unit_pole_log_parts(2)
-        assert parts.log_b == Polynomial.x()
+        assert parts.log_b == Polynomial((0, 1))
         assert parts.log_one_plus_b == Polynomial((-1, -1))
         assert parts.rational == Polynomial()
 
@@ -714,6 +732,22 @@ class TestDriver:
             IntegralSpec(num, Polynomial((1,)), F(1, 2), F(1), log_power=m)
         with pytest.raises(LimitExceeded):
             IntegralSpec(Polynomial([1] * (MAX_DEGREE + 1)), Polynomial((1,)), F(1, 2), F(1), log_power=2)
+
+    def test_spec_refuses_a_numerator_degree_above_the_limit(self):
+        # A sparse x^2000 is one term at m = 1, inside the joint size bound.
+        sparse = Polynomial([0] * 2 * MAX_DEGREE + [1])
+        with pytest.raises(LimitExceeded, match=f"^numerator degree must be at most {MAX_DEGREE}$"):
+            IntegralSpec(sparse, Polynomial((1,)), F(1, 2), F(1))
+        IntegralSpec(Polynomial([0] * MAX_DEGREE + [1]), Polynomial((1,)), F(1, 2), F(1))
+
+    def test_spec_refuses_an_expanded_denominator_degree_above_the_limit(self, monkeypatch):
+        # Refused before the root search: x^2000 + 1 took about a second
+        # to fail in the factoring step.
+        monkeypatch.setattr("logint.ratfunc.factor_denominator", _no_decomposition)
+        den = Polynomial([1] + [0] * (2 * MAX_DEGREE - 1) + [1])
+        with pytest.raises(LimitExceeded, match=f"^denominator degree must be at most {MAX_DEGREE}$"):
+            IntegralSpec(Polynomial((1,)), den, F(1, 2), F(1))
+        IntegralSpec(Polynomial((1,)), Polynomial([1] + [0] * (MAX_DEGREE - 1) + [1]), F(1, 2), F(1))
 
     @pytest.mark.parametrize("num, den, field", [
         ([1], Polynomial((1, 1)), "numerator must be a Polynomial"),

@@ -4,8 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from logint import DomainError, Polynomial
-from logint.poly import integer_at_least, positive
+from logint import (
+    DomainError,
+    IntegralSpec,
+    LimitExceeded,
+    Polynomial,
+    family_poly,
+    integrate_monomial_log,
+    integrate_multiple_pole,
+    integrate_poly_log,
+    shifted_family_poly,
+    unit_pole_log_integral,
+)
+from logint.integrate import MAX_LOG_POWER
+from logint.poly import MAX_DEGREE, integer_at_least, positive
+from logint.unimodal import MAX_FAMILY_INDEX
 
 
 def test_trailing_zeros_are_stripped():
@@ -31,9 +44,71 @@ def test_integer_at_least():
             integer_at_least(bad, 2, "index")
 
 
+class _Accepted(Exception):
+    """Raised by the first step a public function takes once its integer
+    argument has passed the bound check."""
+
+
+def _first_step(*args):
+    raise _Accepted
+
+
+# Each bounded integer argument of a public function: the call, the
+# first step after the check (None: the call returns at once), the name
+# in the messages, and the least and most values accepted.
+_INTEGER_ARGUMENTS = [
+    pytest.param(lambda k: integrate_monomial_log(0, k, 1), "logint.integrate._monomial_log_terms",
+                 "log power", 0, MAX_LOG_POWER, id="integrate_monomial_log"),
+    pytest.param(lambda m: integrate_poly_log(Polynomial((1,)), 1, m), "logint.integrate._poly_log_terms",
+                 "log power", 0, MAX_LOG_POWER, id="integrate_poly_log"),
+    pytest.param(lambda m: IntegralSpec(Polynomial((1,)), Polynomial((1,)), 1, 2, log_power=m), None,
+                 "log_power", 1, MAX_LOG_POWER, id="IntegralSpec"),
+    pytest.param(lambda n: integrate_multiple_pole(n, 1, 1), "logint.integrate._multiple_pole_terms",
+                 "pole order", 2, MAX_DEGREE, id="integrate_multiple_pole"),
+    pytest.param(lambda n: unit_pole_log_integral(n, 1), "logint.integrate._multiple_pole_terms",
+                 "pole order", 2, MAX_DEGREE, id="unit_pole_log_integral"),
+    pytest.param(family_poly, "logint.unimodal.Polynomial",
+                 "family index", 2, MAX_FAMILY_INDEX, id="family_poly"),
+    pytest.param(shifted_family_poly, "logint.unimodal.Polynomial",
+                 "shifted family index", 3, MAX_FAMILY_INDEX, id="shifted_family_poly"),
+]
+
+
+@pytest.mark.parametrize("call, first_step, what, least, most", _INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("value_of, verdict", [
+    pytest.param(lambda least, most: least - 1, "low", id="least-1"),
+    pytest.param(lambda least, most: least, "ok", id="least"),
+    pytest.param(lambda least, most: most, "ok", id="most"),
+    pytest.param(lambda least, most: most + 1, "high", id="most+1"),
+    pytest.param(lambda least, most: True, "low", id="True"),
+    pytest.param(lambda least, most: 1.0, "low", id="1.0"),
+    pytest.param(lambda least, most: 10**20, "high", id="10**20"),
+])
+def test_integer_argument_bounds(monkeypatch, call, first_step, what, least, most, value_of, verdict):
+    # A value below the least, or not an int (a bool is not a count), is
+    # a DomainError; one above the most is its subclass LimitExceeded.
+    if first_step is not None:
+        monkeypatch.setattr(first_step, _first_step)
+    value = value_of(least, most)
+    if verdict == "ok":
+        try:
+            call(value)
+        except _Accepted:
+            pass
+        return
+    error, message = {
+        "low": (DomainError, f"{what} must be an integer >= {least}"),
+        "high": (LimitExceeded, f"{what} must be at most {most}"),
+    }[verdict]
+    with pytest.raises(error) as info:
+        call(value)
+    assert info.type is error
+    assert str(info.value) == message
+
+
 def test_zero_polynomial_is_falsy():
     assert not Polynomial()
-    assert Polynomial((0, 0)).is_zero
+    assert not Polynomial((0, 0))
     assert Polynomial((1,))
 
 
@@ -89,9 +164,11 @@ def test_eval_float_matches_a_float_horner_reference():
 
 
 def test_constructors():
-    assert Polynomial.constant(5).coeffs == (Fraction(5),)
-    assert Polynomial.x().coeffs == (Fraction(0), Fraction(1))
-    assert (2 * Polynomial.x() ** 3).degree == 3
+    # A constant and x are spelled through the one constructor.
+    assert Polynomial((5,)).coeffs == (Fraction(5),)
+    assert Polynomial((0, 1)).coeffs == (Fraction(0), Fraction(1))
+    assert (2 * Polynomial((0, 1)) ** 3).degree == 3
+    assert 2 * Polynomial((1, 3)) == Polynomial((1, 3)) * 2 == Polynomial((2, 6))
 
 
 def test_constant_hashes_as_its_scalar():
@@ -131,7 +208,7 @@ def test_arithmetic_identities_random():
         assert a * (b + c) == a * b + a * c
         assert a - a == Polynomial()
         assert (a * b).degree == (
-            -1 if a.is_zero or b.is_zero else a.degree + b.degree
+            -1 if not a or not b else a.degree + b.degree
         )
 
 
@@ -140,11 +217,11 @@ def test_divmod_reconstruction():
     for _ in range(60):
         a = _random_poly(rng)
         b = _random_poly(rng)
-        if b.is_zero:
+        if not b:
             continue
         q, r = divmod(a, b)
         assert q * b + r == a
-        assert r.is_zero or r.degree < b.degree
+        assert not r or r.degree < b.degree
 
 
 def test_division_by_zero():

@@ -29,7 +29,7 @@ from logint.quadrature import _pole_in
 from specgen import linear_product, random_spec
 
 F = Fraction
-ONE = Polynomial.constant(1)
+ONE = Polynomial((1,))
 
 
 def rational(num, den):
@@ -461,6 +461,29 @@ def test_source_has_one_owner_per_denominator_form():
                 expanding.add(path.name)
     assert factoring == {"ratfunc.py"}
     assert expanding.isdisjoint({"quadrature.py", "cli.py"}), sorted(expanding)
+
+
+def _object_new_calls(tree: ast.AST) -> list[int]:
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+    ]
+
+
+def test_source_builds_every_object_through_its_constructor():
+    # object.__new__ makes an instance without running __init__ or
+    # __post_init__, the checks of an Atom or a ClosedForm, so no module
+    # calls it.
+    assert _object_new_calls(ast.parse("a = object.__new__(Atom)")) == [1]
+    src = Path(__file__).resolve().parent.parent / "src" / "logint"
+    found = {
+        path.name: lines
+        for path in sorted(src.glob("*.py"))
+        if (lines := _object_new_calls(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
 
 
 def test_oracle_runs_without_scipy():
