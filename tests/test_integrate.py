@@ -741,8 +741,8 @@ class TestDriver:
         IntegralSpec(Polynomial([0] * MAX_DEGREE + [1]), Polynomial((1,)), F(1, 2), F(1))
 
     def test_spec_refuses_an_expanded_denominator_degree_above_the_limit(self, monkeypatch):
-        # Refused before the root search: x^2000 + 1 took about a second
-        # to fail in the factoring step.
+        # Refused before the root search, which for x^2000 + 720720 runs
+        # for seconds before it finds no rational root.
         monkeypatch.setattr("logint.ratfunc.factor_denominator", _no_decomposition)
         den = Polynomial([1] + [0] * (2 * MAX_DEGREE - 1) + [1])
         with pytest.raises(LimitExceeded, match=f"^denominator degree must be at most {MAX_DEGREE}$"):
